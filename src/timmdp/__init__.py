@@ -22,7 +22,6 @@ from .crg import (
     annotate_bounds,
     build_crg,
     build_crgs,
-    cri_pair_exhaustive,
     dependent_actions,
     influence_set,
     interaction_reachable,

@@ -19,8 +19,6 @@ from typing import Iterator, Mapping, Sequence
 from .model import (
     RewardFunction,
     TiMmdpInstance,
-    Violation,
-    project_state,
     reachable_local_states,
     reward_value_local,
 )
@@ -106,7 +104,8 @@ def partition_rewards(m: TiMmdpInstance,
 
 
 class InstanceIndex:
-    """Caches of stage reachability, availability and reward-entry matching."""
+    """Caches of stage reachability, availability, state projections and
+    reward-entry matching."""
 
     def __init__(self, m: TiMmdpInstance):
         self.m = m
@@ -123,6 +122,7 @@ class InstanceIndex:
                     per_action.setdefault(a, []).append((s, dst))
             self.available.append(trs)
             self.by_action.append(per_action)
+        self._projections: dict[tuple[int, tuple[str, ...] | None], tuple] = {}
         self._reach_from: dict[tuple[int, int, int], list[set[int]]] = {}
         self._entry_sources: dict[tuple[int, tuple], tuple[frozenset, ...]] = {}
         self._dead: dict[tuple[int, int, int, int], bool] = {}
@@ -134,16 +134,27 @@ class InstanceIndex:
                 self.m, agent, start=state, from_stage=stage)
         return self._reach_from[key]
 
+    def projection(self, agent: int, feats: tuple[str, ...] | None) -> tuple:
+        """The agent's states as a reward table reads them, indexed by state
+        id: the tuple of ``feats`` values, or the id itself without
+        features. Compiled once per (agent, feature tuple)."""
+        key = (agent, feats)
+        proj = self._projections.get(key)
+        if proj is None:
+            states = self.m.locals[agent].states
+            proj = (tuple(range(len(states))) if feats is None else
+                    tuple(tuple(st.features[f] for f in feats)
+                          for st in states))
+            self._projections[key] = proj
+        return proj
+
     def part_matches(self, rf: RewardFunction, agent: int,
                      tr: LocalTransition, part: tuple) -> bool:
         sp, ap, np_ = part
         if tr[1] != ap:
             return False
-        feats = rf.features_read(agent)
-        if feats is None:
-            return tr[0] == sp and tr[2] == np_
-        return (project_state(self.m, agent, tr[0], feats) == sp
-                and project_state(self.m, agent, tr[2], feats) == np_)
+        proj = self.projection(agent, rf.features_read(agent))
+        return proj[tr[0]] == sp and proj[tr[2]] == np_
 
     def entry_sources(self, rf_index: int, key: tuple) -> tuple[frozenset, ...]:
         """Per scope position, source states of available transitions matching
@@ -278,9 +289,13 @@ def influence_set(m: TiMmdpInstance, partition_i: Sequence[int],
     owner performs tr_i and j plays ``action`` (or any non-dependent action
     for the wildcard).
 
-    A pair qualifies when it occurs in an available joint transition
-    containing tr_i with nonzero-beyond-default reward and some other pair
-    of j's states would produce a different value.
+    Each table entry matching tr_i, differing from the default and
+    realizable by available transitions in every slice is decided once: it
+    is influential when some pair of j's projected states, drawn from the
+    distinct projections of j's states, changes the value when put into
+    j's slice. An influential entry contributes every available pair of j
+    under ``action`` that matches its slice; any other entry contributes
+    none.
     """
     index = index or InstanceIndex(m)
     if action == WILDCARD:
@@ -292,7 +307,6 @@ def influence_set(m: TiMmdpInstance, partition_i: Sequence[int],
         return pairs
 
     pairs = set()
-    n_states = len(m.locals[j].states)
     for k, key, value in _matching_owner_entries(index, partition_i, owner, tr_i):
         rf = m.rewards[k]
         if j not in rf.scope:
@@ -301,31 +315,19 @@ def influence_set(m: TiMmdpInstance, partition_i: Sequence[int],
         if key[1][pos_j] != action:
             continue
         part = (key[0][pos_j], action, key[2][pos_j])
-        concrete = [
+        concrete = {
             (s, dst) for (s, dst) in index.by_action[j].get(action, [])
-            if index.part_matches(rf, j, (s, action, dst), part)]
-        feats = rf.features_read(j)
-        for s_j, n_j in concrete:
-            if (s_j, n_j) in pairs:
-                continue
-            for s2 in range(n_states):
-                for n2 in range(n_states):
-                    if (s2, n2) == (s_j, n_j):
-                        continue
-                    if feats is None:
-                        sp2, np2 = s2, n2
-                    else:
-                        sp2 = project_state(m, j, s2, feats)
-                        np2 = project_state(m, j, n2, feats)
-                    swapped = (key[0][:pos_j] + (sp2,) + key[0][pos_j + 1:],
-                               key[1],
-                               key[2][:pos_j] + (np2,) + key[2][pos_j + 1:])
-                    if rf.table.get(swapped, rf.default) != value:
-                        pairs.add((s_j, n_j))
-                        break
-                else:
-                    continue
-                break
+            if index.part_matches(rf, j, (s, action, dst), part)}
+        if concrete <= pairs:
+            continue
+        projected = set(index.projection(j, rf.features_read(j)))
+        states, actions, nexts = key
+        if any(rf.table.get((states[:pos_j] + (sp2,) + states[pos_j + 1:],
+                             actions,
+                             nexts[:pos_j] + (np2,) + nexts[pos_j + 1:]),
+                            rf.default) != value
+               for sp2 in projected for np2 in projected):
+            pairs |= concrete
     return pairs
 
 
@@ -389,6 +391,8 @@ class ConditionalReturnGraph:
     functions: tuple[int, ...]
     scope: tuple[int, ...]
     feature_level: dict[int, tuple[str, ...] | None]
+    # other agent -> its states projected onto feature_level, by state id
+    projections: dict[int, tuple]
     nodes: dict[tuple[int, int], CrgNode]
     trees: dict[LocalTransition, TransitionTree]
     instance: TiMmdpInstance
@@ -440,7 +444,7 @@ def _resolve_with_completion(index: InstanceIndex, g_functions: Sequence[int],
         a_lab = act_of.get(agent, WILDCARD)
         p_lab = pair_of.get(agent, NO_INFLUENCE)
         deps = tree_meta["deps"].get(agent, frozenset())
-        feats = tree_meta["feature_level"].get(agent)
+        proj = tree_meta["projections"][agent]
         if a_lab == WILDCARD:
             candidates = [tr for tr in index.available[agent] if tr[1] not in deps]
         else:
@@ -448,9 +452,7 @@ def _resolve_with_completion(index: InstanceIndex, g_functions: Sequence[int],
         known = tree_meta["inf_labels"].get((agent, a_lab), ())
         chosen = None
         for tr in candidates:
-            pair = ((tr[0], tr[2]) if feats is None else
-                    (project_state(m, agent, tr[0], feats),
-                     project_state(m, agent, tr[2], feats)))
+            pair = (proj[tr[0]], proj[tr[2]])
             if p_lab == NO_INFLUENCE:
                 if pair not in known:
                     chosen = tr
@@ -478,18 +480,15 @@ def _resolve_with_completion(index: InstanceIndex, g_functions: Sequence[int],
 def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
                 fns: Sequence[int], tr_i: LocalTransition,
                 scope_others: Sequence[int],
-                feature_level: dict) -> TransitionTree:
+                projections: dict[int, tuple]) -> TransitionTree:
     deps: dict[int, frozenset[int]] = {}
     act_labels: dict[int, tuple] = {}
     inf_labels: dict[tuple[int, object], tuple] = {}
     has_bot: dict[tuple[int, object], bool] = {}
 
     def project_pairs(agent: int, pairs: set[tuple[int, int]]) -> set:
-        feats = feature_level.get(agent)
-        if feats is None:
-            return pairs
-        return {(project_state(m, agent, s, feats),
-                 project_state(m, agent, n, feats)) for s, n in pairs}
+        proj = projections[agent]
+        return {(proj[s], proj[n]) for s, n in pairs}
 
     def positive_pairs(agent: int, actions: Sequence[int]) -> set:
         pairs = set()
@@ -530,7 +529,7 @@ def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
     skeleton_t = tuple(skeleton)
 
     meta = {"others": list(scope_others), "deps": deps,
-            "inf_labels": inf_labels, "feature_level": feature_level}
+            "inf_labels": inf_labels, "projections": projections}
 
     # Enumerate label combinations level by level.
     paths: list[tuple] = [()]
@@ -634,6 +633,7 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             feature_level[j] = tuple(merged)
         else:
             feature_level[j] = None
+    projections = {j: index.projection(j, feature_level[j]) for j in others}
 
     # Interaction functions anywhere in the instance that involve the owner
     # drive the independence flag (not only the assigned ones).
@@ -660,12 +660,13 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
                     tr = (s, a, dst)
                     if tr not in trees:
                         trees[tr] = _build_tree(m, index, i, fns, tr,
-                                                others, feature_level)
+                                                others, projections)
 
     g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
                                scope=tuple(scope), feature_level=feature_level,
-                               nodes=nodes, trees=trees, instance=m,
-                               index=index, cri_pruning=cri_pruning)
+                               projections=projections, nodes=nodes,
+                               trees=trees, instance=m, index=index,
+                               cri_pruning=cri_pruning)
     _mark_represented(g)
     annotate_bounds(g)
     return g
@@ -741,7 +742,6 @@ def resolve_arc(g: ConditionalReturnGraph, t: int, tr_i: LocalTransition,
     lenient mode fills gaps with wildcard arcs, which is sound exactly when
     the missing agents' interactions are dead (as during decoupled search).
     """
-    m = g.instance
     tree = g.trees.get(tr_i)
     if tree is None:
         raise CrgError(f"transition {tr_i} not represented for agent {g.owner}")
@@ -767,10 +767,8 @@ def resolve_arc(g: ConditionalReturnGraph, t: int, tr_i: LocalTransition,
             act_pos = _act_position(tree, agent)
             act_label = labels[act_pos] if act_pos is not None else WILDCARD
             known = tree.inf_labels.get((agent, act_label), ())
-            feats = g.feature_level.get(agent)
-            pair = ((ctx[0], ctx[2]) if feats is None else
-                    (project_state(m, agent, ctx[0], feats),
-                     project_state(m, agent, ctx[2], feats)))
+            proj = g.projections[agent]
+            pair = (proj[ctx[0]], proj[ctx[2]])
             labels.append(pair if pair in known else NO_INFLUENCE)
         fixed[pos] = labels[-1]
     if len(fixed) == len(labels):
@@ -839,41 +837,6 @@ def interaction_reachable(g: ConditionalReturnGraph, s_i: int, t: int,
     fns = [k for k in g.functions if g.instance.rewards[k].scope == scope]
     live = g.nodes[(t, s_i)].live_interactions
     return any(k in live for k in fns)
-
-
-def interaction_reachable_fn(g: ConditionalReturnGraph, s_i: int, t: int,
-                             fn_index: int) -> bool:
-    return fn_index in g.nodes[(t, s_i)].live_interactions
-
-
-def cri_pair_exhaustive(m: TiMmdpInstance, i: int, j: int, t: int,
-                        s: Sequence[int]) -> bool:
-    """Definition-level independence test: walk every joint future from the
-    given joint state and report True only if no function coupling i and j
-    ever yields a nonzero value.
-
-    Exact but exponential; the search defaults to the cheaper per-graph
-    reachability plus local deadness tests, which are sound relative to
-    this one.
-    """
-    from .model import enumerate_successors, reward_value
-
-    fns = [rf for rf in m.rewards
-           if rf.is_interaction and i in rf.scope and j in rf.scope]
-    if not fns:
-        return True
-    frontier = {tuple(s)}
-    for _stage in range(t, m.horizon):
-        nxt = set()
-        for state in frontier:
-            for a in m.joint_actions(state):
-                for s2, _ in enumerate_successors(m, state, a):
-                    for rf in fns:
-                        if reward_value(m, rf, state, a, s2) != 0.0:
-                            return False
-                    nxt.add(s2)
-        frontier = nxt
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -955,14 +918,3 @@ def size_audit(g: ConditionalReturnGraph) -> SizeAudit:
                      reward_arcs_per_layer=reward_arcs,
                      alpha=alpha, rho=rho, i_max=i_max,
                      worst_case_bound=bound)
-
-
-def partition_violations(m: TiMmdpInstance,
-                         partition: RewardPartition) -> list[Violation]:
-    """Sanity checks mirroring partition_rewards' fixed-mode validation."""
-    out = []
-    try:
-        partition_rewards(m, {a: fns for a, fns in partition.assignment.items()})
-    except ValueError as exc:
-        out.append(Violation("partition", "partition", str(exc)))
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -328,10 +328,7 @@ def crg_ps_solve(m: TiMmdpInstance,
                  crgs: Mapping[int, ConditionalReturnGraph],
                  cfg: SearchConfig | None = None) -> SolveReport:
     """The same search with bound pruning switched off."""
-    base = cfg or SearchConfig()
-    return core_solve(m, crgs, SearchConfig(
-        pruning=False, memoization=base.memoization,
-        tolerance=base.tolerance, time_budget=base.time_budget))
+    return core_solve(m, crgs, replace(cfg or SearchConfig(), pruning=False))
 
 
 def joint_action_bounds(m: TiMmdpInstance,

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timmdp.baselines import dp_solve
 from timmdp.crg import (
@@ -29,7 +31,22 @@ from util import (
     bf_influence_set,
     bf_interaction_alive,
     random_instance,
+    with_interaction_default,
 )
+
+
+@st.composite
+def small_instances(draw):
+    """Two or three agents, with and without feature scopes; interaction
+    functions may default to a nonzero value that some entries share, and
+    may list zero-valued entries."""
+    m = random_instance(draw(st.integers(0, 2**32 - 1)),
+                        n_agents=draw(st.sampled_from((2, 3))),
+                        feature_scoped=draw(st.booleans()),
+                        n_interactions=draw(st.integers(1, 3)))
+    return with_interaction_default(
+        m, default=draw(st.sampled_from((0.0, 0.0, -2.0, 1.0, 3.5))),
+        shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
 
 
 def crg_reward_sum(m, crgs, t, s, a, s2):
@@ -126,21 +143,29 @@ class TestInfluenceSet:
         fns = example_partition()[1]
         assert influence_set(m, fns, 1, (0, 0, 1), 0, WILDCARD) == set()
 
-    def test_matches_brute_force_on_random_instances(self):
-        for seed in range(25):
-            m = random_instance(seed, feature_scoped=(seed % 2 == 1))
-            index = InstanceIndex(m)
-            part = partition_rewards(m)
-            for i in m.agents:
-                fns = part.functions(i)
-                for tr in available_transitions(m, i)[:6]:
-                    for j in m.agents:
-                        if j == i:
-                            continue
-                        for a in range(len(m.locals[j].actions)):
-                            got = influence_set(m, fns, i, tr, j, a, index)
-                            want = bf_influence_set(m, fns, i, tr, j, a)
-                            assert got == want, (seed, i, tr, j, a)
+    @settings(deadline=None)
+    @given(m=small_instances())
+    def test_matches_brute_force_on_random_instances(self, m):
+        # Each owner reads every function touching it, so each side of an
+        # interaction is checked, and the oracle never sees the index.
+        index = InstanceIndex(m)
+        for i in m.agents:
+            fns = [k for k, rf in enumerate(m.rewards) if i in rf.scope]
+            for tr in available_transitions(m, i):
+                for j in m.agents:
+                    if j == i:
+                        continue
+                    deps = bf_dependent_actions(m, fns, i, tr, j)
+                    assert dependent_actions(m, fns, i, tr, j, index) == deps
+                    wildcard = set()
+                    for a in range(len(m.locals[j].actions)):
+                        want = bf_influence_set(m, fns, i, tr, j, a)
+                        got = influence_set(m, fns, i, tr, j, a, index)
+                        assert got == want, (i, tr, j, a)
+                        if a not in deps:
+                            wildcard |= want
+                    got = influence_set(m, fns, i, tr, j, WILDCARD, index)
+                    assert got == wildcard, (i, tr, j)
 
 
 class TestBuild:

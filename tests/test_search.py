@@ -101,6 +101,23 @@ class TestPruningSafety:
             assert (memo.stats.joint_actions_evaluated
                     <= plain.stats.joint_actions_evaluated)
 
+    def test_crg_ps_keeps_exhaustive_cri(self):
+        refined = 0
+        for seed in range(10):
+            m = random_instance(seed, n_agents=2 + seed % 2, horizon=3)
+            crgs = build_crgs(m)
+            ps = crg_ps_solve(m, crgs, SearchConfig(exhaustive_cri=True))
+            same = core_solve(m, crgs, SearchConfig(pruning=False,
+                                                    exhaustive_cri=True))
+            cheap = crg_ps_solve(m, crgs)
+            assert ps.algorithm == "crg-ps" and ps.config.exhaustive_cri
+            assert ps.stats.as_dict() == same.stats.as_dict(), seed
+            assert abs(ps.value - dp_solve(m).value) <= 1e-9, seed
+            if ps.stats.decouple_events > cheap.stats.decouple_events:
+                refined += 1
+        # the flag must reach the walk, where it decouples earlier
+        assert refined > 0
+
     def test_determinism_of_reports(self):
         m = random_instance(9, n_agents=2, horizon=4)
         crgs = build_crgs(m)

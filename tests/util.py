@@ -7,6 +7,7 @@ implementation paths they check.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from timmdp.model import (
@@ -61,6 +62,18 @@ def random_instance(seed: int, n_agents: int = 2, max_states: int = 4,
                               feature_scoped)
     return TiMmdpInstance(locals=tuple(locals_), rewards=rewards,
                           horizon=horizon, initial=(0,) * n_agents)
+
+
+def with_interaction_default(m: TiMmdpInstance, default: float,
+                             shift: float = 0.0) -> TiMmdpInstance:
+    """Copy of ``m`` whose interaction functions earn ``default`` on every
+    unlisted transition and ``shift`` more than before on every listed one
+    (``random_instance`` draws neither a nonzero default nor zero entries)."""
+    rewards = [replace(rf, default=default,
+                       table={key: v + shift for key, v in rf.table.items()})
+               if rf.is_interaction else rf
+               for rf in m.rewards]
+    return replace(m, rewards=rewards)
 
 
 def _trimmed_local(n_states, n_actions, transitions) -> LocalMdp:
