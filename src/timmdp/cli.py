@@ -244,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--instance", required=True)
     solve.add_argument("--time-limit", type=float, default=None)
-    solve.add_argument("--memo", action="store_true",
-                       help="memoize component values")
+    solve.add_argument("--memo", action=argparse.BooleanOptionalAction,
+                       default=True,
+                       help="memoize component values (default); --no-memo "
+                            "re-solves repeated components")
     solve.add_argument("--stats", default=None,
                        help="write a one-row result CSV here")
     solve.add_argument("--policy-out", default=None,
@@ -268,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--instances", required=True, help="instance directory")
     bench.add_argument("--algorithms", default="core,crg-ps,dp")
     bench.add_argument("--time-limit", type=float, default=None)
-    bench.add_argument("--memo", action="store_true")
+    bench.add_argument("--memo", action=argparse.BooleanOptionalAction,
+                       default=True)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", required=True, help="result CSV path")
     bench.set_defaults(func=_cmd_bench)

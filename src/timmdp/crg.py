@@ -571,7 +571,6 @@ def _local_optimal_actions(m: TiMmdpInstance, index: InstanceIndex,
                            owner: int, fns: Sequence[int]) -> dict[tuple[int, int], int]:
     """Backward induction over the owner's local MDP under its own local
     reward functions only; ties go to the lowest action id."""
-    from .model import reward_value_local
     local_fns = [m.rewards[k] for k in fns if not m.rewards[k].is_interaction]
     local = m.locals[owner]
     values: dict[tuple[int, int], float] = {}
@@ -801,20 +800,27 @@ def lookup_transition_reward(g: ConditionalReturnGraph, t: int,
     return resolve_arc(g, t, tr_i, context, strict=True).reward
 
 
-def assigned_reward(g: ConditionalReturnGraph, arc: CrgArc,
-                    covered: frozenset[int] | None = None) -> float:
-    """Arc reward restricted to functions whose scope lies inside ``covered``.
+def cover_mask(g: ConditionalReturnGraph,
+               covered: Sequence[int]) -> tuple[int, ...] | None:
+    """Positions in ``g.functions`` whose scope lies inside ``covered``, or
+    None when every function's does. Compile once per (graph, cover)."""
+    inside = set(covered)
+    keep = tuple(pos for pos, k in enumerate(g.functions)
+                 if inside.issuperset(g.instance.rewards[k].scope))
+    return None if len(keep) == len(g.functions) else keep
+
+
+def assigned_reward(arc: CrgArc, keep: tuple[int, ...] | None) -> float:
+    """Arc reward restricted to the functions a ``cover_mask`` keeps.
 
     Functions straddling the cover are conditionally dead wherever a search
     legitimately solves the covered agents alone, so their true contribution
     is zero and they are dropped rather than resolved through the arc.
+    ``arc.reward`` is the fsum of all components, so a full cover returns it.
     """
-    if covered is None:
+    if keep is None:
         return arc.reward
-    m = g.instance
-    return math.fsum(
-        v for k, v in zip(g.functions, arc.components)
-        if all(j in covered for j in m.rewards[k].scope))
+    return math.fsum(arc.components[pos] for pos in keep)
 
 
 def local_cri(g: ConditionalReturnGraph, s_i: int, t: int) -> bool:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Sequence
 
-from .crg import ConditionalReturnGraph, assigned_reward, resolve_arc
+from .crg import (
+    ConditionalReturnGraph,
+    assigned_reward,
+    cover_mask,
+    resolve_arc,
+)
 from .model import (
     JointAction,
     JointState,
@@ -39,7 +44,10 @@ class IncompleteSolveError(Exception):
 @dataclass
 class SearchConfig:
     pruning: bool = True          # False gives the plain graph-backed search
-    memoization: bool = False
+    # Solve each (stage, component, component states) once and reuse its
+    # value. Sound because the independence test depends only on the current
+    # states; False re-solves repeated components, as the paper's walk does.
+    memoization: bool = True
     tolerance: float = 1e-9
     time_budget: float | None = None  # seconds, checked at recursion entry
     # Decide independence by walking the coupled agents' exact joint future
@@ -58,6 +66,7 @@ class SearchStats:
     nodes_pruned: int = 0
     decouple_events: int = 0
     max_component_size: int = 0
+    memo_hits: int = 0            # component solves answered from the table
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -65,6 +74,7 @@ class SearchStats:
             "nodes_pruned": self.nodes_pruned,
             "decouple_events": self.decouple_events,
             "max_component_size": self.max_component_size,
+            "memo_hits": self.memo_hits,
         }
 
 
@@ -99,6 +109,8 @@ class SolveReport:
     status: str                    # "solved" or "timeout"
     algorithm: str
     config: SearchConfig | None = None
+    # (t, component, component states) -> (value, decision), one entry per
+    # distinct component solved
     trace: dict | None = None
     instance: TiMmdpInstance | None = None
     crgs: Mapping[int, ConditionalReturnGraph] | None = None
@@ -113,8 +125,10 @@ class _Search:
         self.cfg = cfg
         self.index = next(iter(crgs.values())).index
         self.stats = SearchStats()
-        self.decisions: dict = {}
-        self.memo: dict = {}
+        # (t, component, component states) -> (value, best action)
+        self.table: dict = {}
+        # component -> per-member keep masks over its graph's functions
+        self.masks: dict = {}
         self.owner_of: dict[int, int] = {}
         for i, g in crgs.items():
             for k in g.functions:
@@ -215,7 +229,10 @@ class _Search:
         the bounds already include the step reward, matching the weighted
         per-transition bound the action-level pruning sums up.
         """
-        covered = frozenset(agents)
+        masks = self.masks.get(agents)
+        if masks is None:
+            masks = self.masks[agents] = {
+                i: cover_mask(self.crgs[i], agents) for i in agents}
         per_agent = []
         for i, s, a in zip(agents, states, action):
             outs = sorted(self.crgs[i].outcomes(s, a))
@@ -229,7 +246,7 @@ class _Search:
                 p *= q
                 g = self.crgs[i]
                 arc = resolve_arc(g, t, (s, a, dst), context, strict=False)
-                r_i = assigned_reward(g, arc, covered)
+                r_i = assigned_reward(arc, masks[i])
                 reward_parts.append(r_i)
                 child = g.nodes[(t + 1, dst)]
                 up += r_i + child.upper
@@ -255,15 +272,13 @@ class _Search:
             self.stats.max_component_size = max(self.stats.max_component_size,
                                                 len(comp))
             comp_states = tuple(state_of[i] for i in comp)
-            if self.cfg.memoization:
-                key = (t, comp, comp_states)
-                if key in self.memo:
-                    values.append(self.memo[key])
-                    continue
-            v = self._solve_component(t, comp, comp_states)
-            if self.cfg.memoization:
-                self.memo[(t, comp, comp_states)] = v
-            values.append(v)
+            solved = (self.table.get((t, comp, comp_states))
+                      if self.cfg.memoization else None)
+            if solved is not None:
+                self.stats.memo_hits += 1
+                values.append(solved[0])
+            else:
+                values.append(self._solve_component(t, comp, comp_states))
         return math.fsum(values)
 
     def _solve_component(self, t: int, agents: tuple[int, ...],
@@ -291,8 +306,9 @@ class _Search:
                     or (value == best_value and a < best_action)):
                 best_value, best_action = value, a
             lower_max = max(lower_max, value)
-        self.decisions[(t, agents, states)] = best_action
-        return best_value if best_value is not None else 0.0
+        value = best_value if best_value is not None else 0.0
+        self.table[(t, agents, states)] = (value, best_action)
+        return value
 
 
 def core_solve(m: TiMmdpInstance,
@@ -317,7 +333,7 @@ def core_solve(m: TiMmdpInstance,
     algorithm = "core" if cfg.pruning else "crg-ps"
     report = SolveReport(value=value, policy=None, stats=search.stats,
                          wall_time=wall, status=status, algorithm=algorithm,
-                         config=cfg, trace=search.decisions, instance=m,
+                         config=cfg, trace=search.table, instance=m,
                          crgs=crgs)
     if status == "solved":
         report.policy = extract_policy(report)
@@ -375,7 +391,7 @@ def extract_policy(report: SolveReport) -> Policy:
         action = [None] * m.n_agents
         for comp in search.components(t, tuple(m.agents), state_of):
             comp_states = tuple(state_of[i] for i in comp)
-            decision = report.trace[(t, comp, comp_states)]
+            _, decision = report.trace[(t, comp, comp_states)]
             components[(t, comp, comp_states)] = decision
             for i, a in zip(comp, decision):
                 action[i] = a

@@ -68,21 +68,26 @@ def small_instance(k: int, feature_scoped=None):
 
 
 def test_criterion_1_oracle_equivalence():
-    """core, crg-ps and dp agree on 200 seeded random instances."""
+    """core, crg-ps and dp agree on 200 seeded random instances, with
+    memoisation on and off."""
     start = time.perf_counter()
     agree = 0
     for k in range(200):
         m = small_instance(k)
         crgs = build_crgs(m)
         dp = dp_solve(m).value
-        core = core_solve(m, crgs, SearchConfig(pruning=True)).value
-        ps = core_solve(m, crgs, SearchConfig(pruning=False)).value
-        assert abs(core - dp) <= TOL and abs(ps - dp) <= TOL, k
+        for memoization in (True, False):
+            core = core_solve(m, crgs, SearchConfig(
+                pruning=True, memoization=memoization)).value
+            ps = core_solve(m, crgs, SearchConfig(
+                pruning=False, memoization=memoization)).value
+            assert abs(core - dp) <= TOL and abs(ps - dp) <= TOL, \
+                (k, memoization)
         agree += 1
     elapsed = time.perf_counter() - start
     verdict(1, agree == 200,
-            f"core/crg-ps/dp agree within {TOL} on {agree}/200 instances "
-            f"({elapsed:.0f}s)")
+            f"core/crg-ps/dp agree within {TOL} on {agree}/200 instances, "
+            f"memoisation on and off ({elapsed:.0f}s)")
 
 
 def test_criterion_2_bound_admissibility():

@@ -1,15 +1,26 @@
+import csv
 import json
 import re
 
 from timmdp.cli import run_cli
-from timmdp.domains import example_two_agent
+from timmdp.crg import build_crgs
+from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
 from timmdp.formats import write_instance
+from timmdp.search import SearchConfig, core_solve
 
 
 def _write_example(tmp_path):
     path = tmp_path / "example.json"
     path.write_text(write_instance(example_two_agent()), encoding="utf-8")
     return path
+
+
+def _write_pyramid(tmp_path):
+    """pyra(4,3): small, and memoization changes its counters."""
+    m = compile_mpp(gen_pyra(4, 3, seed=1))
+    path = tmp_path / "pyra.json"
+    path.write_text(write_instance(m), encoding="utf-8")
+    return m, path
 
 
 class TestSolve:
@@ -56,6 +67,46 @@ class TestSolve:
         capsys.readouterr()
         lines = stats.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("example,core,solved")
+
+
+class TestMemoFlag:
+    def test_no_flag_memo_and_no_memo_print_the_same_value(self, tmp_path,
+                                                           capsys):
+        _, path = _write_pyramid(tmp_path)
+        outputs = []
+        for flags in ([], ["--memo"], ["--no-memo"]):
+            assert run_cli(["solve", "--algorithm", "core",
+                            "--instance", str(path), *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_stats_carry_the_library_counters(self, tmp_path, capsys):
+        m, path = _write_pyramid(tmp_path)
+        crgs = build_crgs(m)
+        counters = {}
+        for flags, memo in (([], True), (["--no-memo"], False)):
+            stats = tmp_path / "stats.csv"
+            assert run_cli(["solve", "--algorithm", "core", "--instance",
+                            str(path), "--stats", str(stats), *flags]) == 0
+            capsys.readouterr()
+            [row] = csv.DictReader(stats.read_text().splitlines())
+            expected = core_solve(m, crgs, SearchConfig(memoization=memo))
+            counters[memo] = {key: int(row[key]) for key in (
+                "joint_actions_evaluated", "nodes_pruned", "decouple_events")}
+            assert counters[memo] == {
+                key: getattr(expected.stats, key) for key in counters[memo]}
+        assert (counters[True]["joint_actions_evaluated"]
+                < counters[False]["joint_actions_evaluated"])
+
+    def test_bench_accepts_no_memo(self, tmp_path, capsys):
+        _, path = _write_pyramid(tmp_path)
+        out_csv = tmp_path / "results.csv"
+        assert run_cli(["bench", "--instances", str(tmp_path),
+                        "--algorithms", "core", "--no-memo",
+                        "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        [row] = csv.DictReader(out_csv.read_text().splitlines())
+        assert row["status"] == "solved"
 
 
 class TestEvaluate:

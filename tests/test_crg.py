@@ -8,9 +8,12 @@ from timmdp.baselines import dp_solve
 from timmdp.crg import (
     NO_INFLUENCE,
     WILDCARD,
+    CrgArc,
     InstanceIndex,
+    assigned_reward,
     build_crg,
     build_crgs,
+    cover_mask,
     dependent_actions,
     influence_set,
     interaction_reachable,
@@ -362,6 +365,48 @@ class TestCriPruningPreservesValue:
             with_prune = core_solve(m, build_crgs(m, cri_pruning=True))
             without = core_solve(m, build_crgs(m, cri_pruning=False))
             assert abs(with_prune.value - without.value) <= 1e-9
+
+
+class TestAssignedReward:
+    @staticmethod
+    def _filtered(g, arc, covered):
+        """The per-call filter the compiled mask replaces."""
+        return math.fsum(
+            v for k, v in zip(g.functions, arc.components)
+            if all(j in covered for j in g.instance.rewards[k].scope))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_interactions=st.integers(1, 3),
+           data=st.data())
+    def test_cover_mask_matches_per_call_filter_bit_for_bit(
+            self, seed, n_interactions, data):
+        from itertools import combinations
+
+        m = random_instance(seed, n_agents=3, n_interactions=n_interactions)
+        values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+            (0.0, -0.0, 1e-17, 0.1, 0.2, 1e16)))
+        covers = [frozenset(c) for r in range(1, 4)
+                  for c in combinations(m.agents, r)]
+        for g in build_crgs(m).values():
+            arcs = [arc for tree in g.trees.values()
+                    for arc in tree.arcs.values()]
+            for _ in range(5):
+                parts = tuple(data.draw(st.lists(
+                    values, min_size=len(g.functions),
+                    max_size=len(g.functions))))
+                arcs.append(CrgArc(target=0, labels=(), components=parts,
+                                   reward=math.fsum(parts),
+                                   nonzero_interactions=frozenset()))
+            assert cover_mask(g, m.agents) is None
+            for covered in covers:
+                keep = cover_mask(g, sorted(covered))
+                for arc in arcs:
+                    got = assigned_reward(arc, keep)
+                    want = self._filtered(g, arc, covered)
+                    assert got.hex() == want.hex(), (g.owner, covered, arc)
+                    if covered == frozenset(m.agents):
+                        assert got.hex() == arc.reward.hex()
 
 
 class TestSizeAudit:

@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timmdp.baselines import dp_solve, evaluate_policy
 from timmdp.crg import build_crgs, partition_rewards
@@ -100,6 +103,52 @@ class TestPruningSafety:
             assert abs(plain.value - memo.value) <= 1e-9
             assert (memo.stats.joint_actions_evaluated
                     <= plain.stats.joint_actions_evaluated)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
+           feature_scoped=st.booleans(), pruning=st.booleans(),
+           exhaustive_cri=st.booleans())
+    def test_memoization_agrees_on_random_draws(self, seed, n_agents,
+                                                feature_scoped, pruning,
+                                                exhaustive_cri):
+        three = n_agents == 3
+        m = random_instance(seed, n_agents=n_agents, horizon=3,
+                            max_states=3 if three else 4,
+                            max_actions=2 if three else 3,
+                            feature_scoped=feature_scoped)
+        crgs = build_crgs(m)
+        cfg = SearchConfig(pruning=pruning, exhaustive_cri=exhaustive_cri)
+        plain = core_solve(m, crgs, replace(cfg, memoization=False))
+        memo = core_solve(m, crgs, replace(cfg, memoization=True))
+        assert abs(plain.value - memo.value) <= 1e-9
+        for report in (plain, memo):
+            assert abs(evaluate_policy(m, report.policy)
+                       - plain.value) <= 1e-9
+        assert (memo.stats.joint_actions_evaluated
+                <= plain.stats.joint_actions_evaluated)
+        assert plain.stats.memo_hits == 0
+        # one table entry per distinct component solved, either way
+        assert len(memo.trace) == len(plain.trace)
+
+    def test_pyramid_counters_are_pinned(self):
+        """pyra(5,3), seed 1: recorded counters of the unmemoised walk
+        (the paper's) and of the memoised default."""
+        from timmdp.domains import compile_mpp, gen_pyra
+
+        m = compile_mpp(gen_pyra(5, 3, seed=1))
+        crgs = build_crgs(m)
+        plain = core_solve(m, crgs, SearchConfig(memoization=False))
+        memo = core_solve(m, crgs)
+        assert plain.value == memo.value == 95.8227
+        assert plain.stats.as_dict() == {
+            "joint_actions_evaluated": 4311, "nodes_pruned": 2275,
+            "decouple_events": 1080, "max_component_size": 5,
+            "memo_hits": 0}
+        assert memo.stats.as_dict() == {
+            "joint_actions_evaluated": 181, "nodes_pruned": 147,
+            "decouple_events": 568, "max_component_size": 5,
+            "memo_hits": 2134}
+        assert len(plain.trace) == len(memo.trace) == 55
 
     def test_crg_ps_keeps_exhaustive_cri(self):
         refined = 0
