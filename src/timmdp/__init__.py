@@ -19,7 +19,6 @@ from .crg import (
     InstanceIndex,
     RewardPartition,
     SizeAudit,
-    annotate_bounds,
     build_crg,
     build_crgs,
     dependent_actions,

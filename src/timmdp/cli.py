@@ -64,8 +64,7 @@ def _policy_from_document(doc: dict) -> Policy:
     return Policy(n_agents=doc["n_agents"], entries=entries)
 
 
-def _solve_once(m: TiMmdpInstance, algorithm: str, time_limit: float | None,
-                memo: bool):
+def _solve_once(m: TiMmdpInstance, algorithm: str, time_limit: float | None):
     """Run one algorithm; returns (value|None, stats dict, status, policy)."""
     start = time.perf_counter()
     if algorithm == "dp":
@@ -85,8 +84,7 @@ def _solve_once(m: TiMmdpInstance, algorithm: str, time_limit: float | None,
         remaining = time_limit - (time.perf_counter() - start)
         if remaining <= 0:
             return None, {}, "timeout", None, time.perf_counter() - start
-    cfg = SearchConfig(pruning=(algorithm == "core"), memoization=memo,
-                       time_budget=remaining)
+    cfg = SearchConfig(pruning=(algorithm == "core"), time_budget=remaining)
     report = search.core_solve(m, crgs, cfg)
     wall = time.perf_counter() - start
     return (report.value, report.stats.as_dict(), report.status,
@@ -124,7 +122,7 @@ def _cmd_solve(args) -> int:
     if isinstance(m, int):
         return m
     value, stats, status, policy, wall = _solve_once(
-        m, args.algorithm, args.time_limit, args.memo)
+        m, args.algorithm, args.time_limit)
     if args.stats:
         row = formats.ResultRow(
             instance=Path(args.instance).stem, algorithm=args.algorithm,
@@ -180,10 +178,10 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _bench_job(job: tuple[str, str, float | None, bool]) -> formats.ResultRow:
-    path, algorithm, time_limit, memo = job
+def _bench_job(job: tuple[str, str, float | None]) -> formats.ResultRow:
+    path, algorithm, time_limit = job
     m = _load_instance(path)
-    value, stats, status, _, wall = _solve_once(m, algorithm, time_limit, memo)
+    value, stats, status, _, wall = _solve_once(m, algorithm, time_limit)
     return formats.ResultRow(
         instance=Path(path).stem, algorithm=algorithm, status=status,
         value=value,
@@ -207,7 +205,7 @@ def _cmd_bench(args) -> int:
         m = _load_valid_instance(path)
         if isinstance(m, int):
             return m
-    jobs = [(path, a, args.time_limit, args.memo)
+    jobs = [(path, a, args.time_limit)
             for path in paths for a in algorithms]
     if args.jobs > 1:
         import multiprocessing
@@ -244,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--instance", required=True)
     solve.add_argument("--time-limit", type=float, default=None)
-    solve.add_argument("--memo", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="memoize component values (default); --no-memo "
-                            "re-solves repeated components")
     solve.add_argument("--stats", default=None,
                        help="write a one-row result CSV here")
     solve.add_argument("--policy-out", default=None,
@@ -270,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--instances", required=True, help="instance directory")
     bench.add_argument("--algorithms", default="core,crg-ps,dp")
     bench.add_argument("--time-limit", type=float, default=None)
-    bench.add_argument("--memo", action=argparse.BooleanOptionalAction,
-                       default=True)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", required=True, help="result CSV path")
     bench.set_defaults(func=_cmd_bench)

@@ -408,21 +408,6 @@ class ConditionalReturnGraph:
     def tree(self, s: int, a: int, s_next: int) -> TransitionTree:
         return self.trees[(s, a, s_next)]
 
-    def arcs_from(self, t: int, state: int,
-                  kept_only: bool = True) -> Iterator[tuple[int, CrgArc]]:
-        """Yield (action, arc) over this node's outgoing leaf arcs."""
-        node = self.nodes[(t, state)]
-        actions = node.kept_actions if kept_only else tuple(
-            self.instance.locals[self.owner].available(state))
-        for a in actions:
-            for dst, _ in self.outcomes(state, a):
-                yield from ((a, arc)
-                            for arc in self.trees[(state, a, dst)].arcs.values())
-
-
-def _interaction_indices(m: TiMmdpInstance) -> list[int]:
-    return [k for k, rf in enumerate(m.rewards) if rf.is_interaction]
-
 
 def _resolve_with_completion(index: InstanceIndex, g_functions: Sequence[int],
                              owner: int, tr_i: LocalTransition,

@@ -6,8 +6,11 @@ only by reward functions that can no longer fire are solved separately and
 their values added), computes probability-weighted return bounds per joint
 action from the conditional return graphs, visits actions in order of
 falling upper bound and skips any action whose upper bound drops below the
-best lower bound seen so far. With pruning disabled the same walk evaluates
-every available action, which isolates what the graph structure alone buys.
+best lower bound seen so far. Independence is read from the graphs and the
+current local states alone, so each (stage, component, component states) is
+solved once and its value and decision are reused wherever it recurs. With
+pruning disabled the same walk evaluates every available action, which
+isolates what the graph structure alone buys.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .model import (
     JointState,
     TiMmdpInstance,
     enumerate_successors,
-    reward_value_local,
 )
 
 
@@ -44,16 +46,8 @@ class IncompleteSolveError(Exception):
 @dataclass
 class SearchConfig:
     pruning: bool = True          # False gives the plain graph-backed search
-    # Solve each (stage, component, component states) once and reuse its
-    # value. Sound because the independence test depends only on the current
-    # states; False re-solves repeated components, as the paper's walk does.
-    memoization: bool = True
     tolerance: float = 1e-9
     time_budget: float | None = None  # seconds, checked at recursion entry
-    # Decide independence by walking the coupled agents' exact joint future
-    # instead of the cheap graph-reachability test. Both depend only on the
-    # current states; the exhaustive one decouples earlier but costs more.
-    exhaustive_cri: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -116,6 +110,75 @@ class SolveReport:
     crgs: Mapping[int, ConditionalReturnGraph] | None = None
 
 
+def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
+               agents: Sequence[int],
+               states: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """Connected components of the still-interacting relation.
+
+    A function links its scope only while a nonzero arc of it remains
+    reachable in its owner's graph and no member's local state already
+    rules it out. Both tests depend on the current states alone, so the
+    partition can only refine along a branch.
+    """
+    agent_set = set(agents)
+    parent = {i: i for i in agents}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in agents:
+        g = crgs[i]
+        for k in g.nodes[(t, states[i])].live_interactions:
+            scope = g.instance.rewards[k].scope
+            if not set(scope) <= agent_set or any(
+                    g.index.interaction_dead(j, states[j], t, k)
+                    for j in scope):
+                continue
+            root = find(scope[0])
+            for j in scope[1:]:
+                parent[find(j)] = root
+    groups: dict[int, list[int]] = {}
+    for i in agents:
+        groups.setdefault(find(i), []).append(i)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def _expand(crgs: Mapping[int, ConditionalReturnGraph], masks: Mapping,
+            t: int, agents: tuple[int, ...], states: tuple[int, ...],
+            action: tuple[int, ...]):
+    """Successor rows for one component action.
+
+    ``masks`` holds each member's keep mask for this component (see
+    ``crg.cover_mask``). Each row is (next states, probability, step reward,
+    upper, lower); the bounds already include the step reward, matching the
+    weighted per-transition bound the action-level pruning sums up.
+    """
+    per_agent = []
+    for i, s, a in zip(agents, states, action):
+        outs = sorted(crgs[i].outcomes(s, a))
+        per_agent.append([(i, s, a, dst, p) for dst, p in outs])
+    rows = []
+    for combo in product(*per_agent):
+        context = {i: (s, a, dst) for i, s, a, dst, _ in combo}
+        p = 1.0
+        reward_parts, up, dn = [], 0.0, 0.0
+        for i, s, a, dst, q in combo:
+            p *= q
+            g = crgs[i]
+            arc = resolve_arc(g, t, (s, a, dst), context, strict=False)
+            r_i = assigned_reward(arc, masks[i])
+            reward_parts.append(r_i)
+            child = g.nodes[(t + 1, dst)]
+            up += r_i + child.upper
+            dn += r_i + child.lower
+        nxt = tuple(context[i][2] for i in agents)
+        rows.append((nxt, p, math.fsum(reward_parts), up, dn))
+    return rows
+
+
 class _Search:
     def __init__(self, m: TiMmdpInstance,
                  crgs: Mapping[int, ConditionalReturnGraph],
@@ -123,139 +186,13 @@ class _Search:
         self.m = m
         self.crgs = crgs
         self.cfg = cfg
-        self.index = next(iter(crgs.values())).index
         self.stats = SearchStats()
         # (t, component, component states) -> (value, best action)
         self.table: dict = {}
         # component -> per-member keep masks over its graph's functions
         self.masks: dict = {}
-        self.owner_of: dict[int, int] = {}
-        for i, g in crgs.items():
-            for k in g.functions:
-                self.owner_of[k] = i
-        self.interactions = [k for k, rf in enumerate(m.rewards)
-                             if rf.is_interaction]
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
-        self._fires_cache: dict = {}
-
-    def _rf_future_fires(self, k: int, t: int,
-                         states: Mapping[int, int]) -> bool:
-        """Exact: can function k still fire given its scope agents' states?
-        Transition independence lets the walk stay inside the scope."""
-        rf = self.m.rewards[k]
-        start = tuple(states[j] for j in rf.scope)
-        key = (k, t, start)
-        if key in self._fires_cache:
-            return self._fires_cache[key]
-        fires = False
-        frontier = {start}
-        for x in range(t, self.m.horizon):
-            if fires:
-                break
-            nxt = set()
-            for combo in frontier:
-                per_agent = []
-                for pos, j in enumerate(rf.scope):
-                    local = self.m.locals[j]
-                    outs = []
-                    for a in local.available(combo[pos]):
-                        outs.extend((a, dst)
-                                    for dst, _ in local.outcomes(combo[pos], a))
-                    per_agent.append(outs)
-                for moves in product(*per_agent):
-                    acts = [a for a, _ in moves]
-                    dsts = [d for _, d in moves]
-                    if reward_value_local(self.m, rf, combo, acts, dsts) != 0.0:
-                        fires = True
-                        break
-                    nxt.add(tuple(dsts))
-                if fires:
-                    break
-            frontier = nxt
-        self._fires_cache[key] = fires
-        return fires
-
-    # -- decoupling ---------------------------------------------------------
-
-    def components(self, t: int, agents: Sequence[int],
-                   states: Mapping[int, int]) -> list[tuple[int, ...]]:
-        """Connected components of the still-interacting relation.
-
-        A function links its scope only while a nonzero arc of it remains
-        reachable in its owner's graph and no member's local state already
-        rules it out. Both tests depend on the current states alone, so the
-        partition can only refine along a branch.
-        """
-        agent_set = set(agents)
-        parent = {i: i for i in agents}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in self.interactions:
-            scope = self.m.rewards[k].scope
-            if not set(scope) <= agent_set:
-                continue
-            if self.cfg.exhaustive_cri:
-                if not self._rf_future_fires(k, t, states):
-                    continue
-            else:
-                owner = self.owner_of[k]
-                g = self.crgs[owner]
-                if k not in g.nodes[(t, states[owner])].live_interactions:
-                    continue
-                if any(self.index.interaction_dead(j, states[j], t, k)
-                       for j in scope):
-                    continue
-            root = find(scope[0])
-            for j in scope[1:]:
-                parent[find(j)] = root
-        groups: dict[int, list[int]] = {}
-        for i in agents:
-            groups.setdefault(find(i), []).append(i)
-        return sorted(tuple(sorted(g)) for g in groups.values())
-
-    # -- expansion ----------------------------------------------------------
-
-    def _expand(self, t: int, agents: tuple[int, ...],
-                states: tuple[int, ...], action: tuple[int, ...]):
-        """Successor rows for one component action.
-
-        Each row is (next states, probability, step reward, upper, lower);
-        the bounds already include the step reward, matching the weighted
-        per-transition bound the action-level pruning sums up.
-        """
-        masks = self.masks.get(agents)
-        if masks is None:
-            masks = self.masks[agents] = {
-                i: cover_mask(self.crgs[i], agents) for i in agents}
-        per_agent = []
-        for i, s, a in zip(agents, states, action):
-            outs = sorted(self.crgs[i].outcomes(s, a))
-            per_agent.append([(i, s, a, dst, p) for dst, p in outs])
-        rows = []
-        for combo in product(*per_agent):
-            context = {i: (s, a, dst) for i, s, a, dst, _ in combo}
-            p = 1.0
-            reward_parts, up, dn = [], 0.0, 0.0
-            for i, s, a, dst, q in combo:
-                p *= q
-                g = self.crgs[i]
-                arc = resolve_arc(g, t, (s, a, dst), context, strict=False)
-                r_i = assigned_reward(arc, masks[i])
-                reward_parts.append(r_i)
-                child = g.nodes[(t + 1, dst)]
-                up += r_i + child.upper
-                dn += r_i + child.lower
-            nxt = tuple(context[i][2] for i in agents)
-            rows.append((nxt, p, math.fsum(reward_parts), up, dn))
-        return rows
-
-    # -- recursion ----------------------------------------------------------
 
     def solve(self, t: int, agents: tuple[int, ...],
               states: tuple[int, ...]) -> float:
@@ -264,7 +201,7 @@ class _Search:
         if t == self.m.horizon:
             return 0.0
         state_of = dict(zip(agents, states))
-        comps = self.components(t, agents, state_of)
+        comps = components(self.crgs, t, agents, state_of)
         if len(comps) > 1:
             self.stats.decouple_events += 1
         values = []
@@ -272,8 +209,7 @@ class _Search:
             self.stats.max_component_size = max(self.stats.max_component_size,
                                                 len(comp))
             comp_states = tuple(state_of[i] for i in comp)
-            solved = (self.table.get((t, comp, comp_states))
-                      if self.cfg.memoization else None)
+            solved = self.table.get((t, comp, comp_states))
             if solved is not None:
                 self.stats.memo_hits += 1
                 values.append(solved[0])
@@ -286,7 +222,12 @@ class _Search:
         actions = list(product(*(
             self.crgs[i].nodes[(t, s)].kept_actions
             for i, s in zip(agents, states))))
-        expansions = {a: self._expand(t, agents, states, a) for a in actions}
+        masks = self.masks.get(agents)
+        if masks is None:
+            masks = self.masks[agents] = {
+                i: cover_mask(self.crgs[i], agents) for i in agents}
+        expansions = {a: _expand(self.crgs, masks, t, agents, states, a)
+                      for a in actions}
         bounds = {}
         for a, rows in expansions.items():
             bounds[a] = (math.fsum(p * up for _, p, _, up, _ in rows),
@@ -354,8 +295,9 @@ def joint_action_bounds(m: TiMmdpInstance,
                         action: Sequence[int]) -> tuple[float, float]:
     """Probability-weighted (lower, upper) return bounds for one joint action
     of the given agent subset."""
-    search = _Search(m, crgs, SearchConfig())
-    rows = search._expand(t, tuple(agents), tuple(states), tuple(action))
+    agents = tuple(agents)
+    masks = {i: cover_mask(crgs[i], agents) for i in agents}
+    rows = _expand(crgs, masks, t, agents, tuple(states), tuple(action))
     upper = math.fsum(p * up for _, p, _, up, _ in rows)
     lower = math.fsum(p * dn for _, p, _, _, dn in rows)
     return lower, upper
@@ -365,9 +307,7 @@ def independent_components(m: TiMmdpInstance,
                            crgs: Mapping[int, ConditionalReturnGraph],
                            t: int, s: JointState) -> list[tuple[int, ...]]:
     """Conditionally independent agent subsets at one joint state."""
-    search = _Search(m, crgs, SearchConfig())
-    agents = tuple(m.agents)
-    return search.components(t, agents, dict(zip(agents, s)))
+    return components(crgs, t, m.agents, dict(zip(m.agents, s)))
 
 
 def extract_policy(report: SolveReport) -> Policy:
@@ -377,9 +317,8 @@ def extract_policy(report: SolveReport) -> Policy:
         raise IncompleteSolveError("cannot extract a policy from an "
                                    "incomplete solve")
     m = report.instance
-    search = _Search(m, report.crgs, report.config or SearchConfig())
     entries: dict[tuple[int, JointState], JointAction] = {}
-    components: dict = {}
+    decisions: dict = {}
     stack = [(0, tuple(m.initial))]
     seen = set()
     while stack:
@@ -389,14 +328,14 @@ def extract_policy(report: SolveReport) -> Policy:
         seen.add((t, s))
         state_of = dict(zip(m.agents, s))
         action = [None] * m.n_agents
-        for comp in search.components(t, tuple(m.agents), state_of):
+        for comp in components(report.crgs, t, m.agents, state_of):
             comp_states = tuple(state_of[i] for i in comp)
             _, decision = report.trace[(t, comp, comp_states)]
-            components[(t, comp, comp_states)] = decision
+            decisions[(t, comp, comp_states)] = decision
             for i, a in zip(comp, decision):
                 action[i] = a
         joint = tuple(action)
         entries[(t, s)] = joint
         for nxt, _ in enumerate_successors(m, s, joint):
             stack.append((t + 1, nxt))
-    return Policy(n_agents=m.n_agents, entries=entries, components=components)
+    return Policy(n_agents=m.n_agents, entries=entries, components=decisions)

@@ -68,26 +68,21 @@ def small_instance(k: int, feature_scoped=None):
 
 
 def test_criterion_1_oracle_equivalence():
-    """core, crg-ps and dp agree on 200 seeded random instances, with
-    memoisation on and off."""
+    """core, crg-ps and dp agree on 200 seeded random instances."""
     start = time.perf_counter()
     agree = 0
     for k in range(200):
         m = small_instance(k)
         crgs = build_crgs(m)
         dp = dp_solve(m).value
-        for memoization in (True, False):
-            core = core_solve(m, crgs, SearchConfig(
-                pruning=True, memoization=memoization)).value
-            ps = core_solve(m, crgs, SearchConfig(
-                pruning=False, memoization=memoization)).value
-            assert abs(core - dp) <= TOL and abs(ps - dp) <= TOL, \
-                (k, memoization)
+        core = core_solve(m, crgs, SearchConfig(pruning=True)).value
+        ps = core_solve(m, crgs, SearchConfig(pruning=False)).value
+        assert abs(core - dp) <= TOL and abs(ps - dp) <= TOL, k
         agree += 1
     elapsed = time.perf_counter() - start
     verdict(1, agree == 200,
-            f"core/crg-ps/dp agree within {TOL} on {agree}/200 instances, "
-            f"memoisation on and off ({elapsed:.0f}s)")
+            f"core/crg-ps/dp agree within {TOL} on {agree}/200 instances "
+            f"({elapsed:.0f}s)")
 
 
 def test_criterion_2_bound_admissibility():
@@ -262,10 +257,8 @@ def test_criterion_7_search_space_trend():
                                  seed=stream(777_100, k).next_u64())
         m = compile_mpp(gen_random_mpp(params))
         crgs = build_crgs(m)
-        core = core_solve(m, crgs,
-                          SearchConfig(pruning=True, memoization=True))
-        ps = core_solve(m, crgs,
-                        SearchConfig(pruning=False, memoization=True))
+        core = core_solve(m, crgs, SearchConfig(pruning=True))
+        ps = core_solve(m, crgs, SearchConfig(pruning=False))
         dp = dp_solve(m)
         c = core.stats.joint_actions_evaluated
         p = ps.stats.joint_actions_evaluated
@@ -287,8 +280,7 @@ def test_criterion_8_pyramid_scalability():
     assert validate_instance(m) == []
     start = time.perf_counter()
     crgs = build_crgs(m)
-    report = core_solve(m, crgs, SearchConfig(pruning=True, memoization=True,
-                                              time_budget=300))
+    report = core_solve(m, crgs, SearchConfig(pruning=True, time_budget=300))
     core_time = time.perf_counter() - start
     assert report.status == "solved" and core_time < 300
     try:

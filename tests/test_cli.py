@@ -16,7 +16,7 @@ def _write_example(tmp_path):
 
 
 def _write_pyramid(tmp_path):
-    """pyra(4,3): small, and memoization changes its counters."""
+    """pyra(4,3): small, and repeated components are reused."""
     m = compile_mpp(gen_pyra(4, 3, seed=1))
     path = tmp_path / "pyra.json"
     path.write_text(write_instance(m), encoding="utf-8")
@@ -70,43 +70,45 @@ class TestSolve:
 
 
 class TestMemoFlag:
-    def test_no_flag_memo_and_no_memo_print_the_same_value(self, tmp_path,
-                                                           capsys):
-        _, path = _write_pyramid(tmp_path)
-        outputs = []
-        for flags in ([], ["--memo"], ["--no-memo"]):
-            assert run_cli(["solve", "--algorithm", "core",
-                            "--instance", str(path), *flags]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+    """Memoisation has no switch: default flags run the memoised walk."""
+
+    def test_value_line_matches_the_library(self, tmp_path, capsys):
+        m, path = _write_pyramid(tmp_path)
+        assert run_cli(["solve", "--algorithm", "core",
+                        "--instance", str(path)]) == 0
+        value = core_solve(m, build_crgs(m)).value
+        assert capsys.readouterr().out == f"value {value:.17g}\n"
 
     def test_stats_carry_the_library_counters(self, tmp_path, capsys):
         m, path = _write_pyramid(tmp_path)
-        crgs = build_crgs(m)
-        counters = {}
-        for flags, memo in (([], True), (["--no-memo"], False)):
-            stats = tmp_path / "stats.csv"
-            assert run_cli(["solve", "--algorithm", "core", "--instance",
-                            str(path), "--stats", str(stats), *flags]) == 0
-            capsys.readouterr()
-            [row] = csv.DictReader(stats.read_text().splitlines())
-            expected = core_solve(m, crgs, SearchConfig(memoization=memo))
-            counters[memo] = {key: int(row[key]) for key in (
-                "joint_actions_evaluated", "nodes_pruned", "decouple_events")}
-            assert counters[memo] == {
-                key: getattr(expected.stats, key) for key in counters[memo]}
-        assert (counters[True]["joint_actions_evaluated"]
-                < counters[False]["joint_actions_evaluated"])
+        stats = tmp_path / "stats.csv"
+        assert run_cli(["solve", "--algorithm", "core", "--instance",
+                        str(path), "--stats", str(stats)]) == 0
+        capsys.readouterr()
+        [row] = csv.DictReader(stats.read_text().splitlines())
+        expected = core_solve(m, build_crgs(m)).stats
+        counters = {key: int(row[key]) for key in (
+            "joint_actions_evaluated", "nodes_pruned", "decouple_events")}
+        assert counters == {
+            key: getattr(expected, key) for key in counters}
+        assert expected.memo_hits > 0
 
-    def test_bench_accepts_no_memo(self, tmp_path, capsys):
-        _, path = _write_pyramid(tmp_path)
+    def test_bench_rows_carry_the_library_counters(self, tmp_path, capsys):
+        m, path = _write_pyramid(tmp_path)
         out_csv = tmp_path / "results.csv"
         assert run_cli(["bench", "--instances", str(tmp_path),
-                        "--algorithms", "core", "--no-memo",
+                        "--algorithms", "core,crg-ps",
                         "--out", str(out_csv)]) == 0
         capsys.readouterr()
-        [row] = csv.DictReader(out_csv.read_text().splitlines())
-        assert row["status"] == "solved"
+        crgs = build_crgs(m)
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [row["algorithm"] for row in rows] == ["core", "crg-ps"]
+        for row in rows:
+            expected = core_solve(m, crgs, SearchConfig(
+                pruning=row["algorithm"] == "core"))
+            assert row["status"] == "solved"
+            assert (int(row["joint_actions_evaluated"])
+                    == expected.stats.joint_actions_evaluated)
 
 
 class TestEvaluate:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from timmdp.search import (
     joint_action_bounds,
 )
 
-from util import random_instance
+from util import bf_joint_future_fires, random_instance
 
 
 class TestSearchConfig:
@@ -94,78 +93,60 @@ class TestPruningSafety:
             assert (pruned.stats.joint_actions_evaluated
                     <= plain.stats.joint_actions_evaluated), seed
 
-    def test_memoization_changes_nothing_but_work(self):
+    def test_each_component_is_solved_once(self):
+        """Every (stage, component, states) is expanded once: the actions
+        tried add up to one full action set per table entry."""
         for seed in range(15):
             m = random_instance(seed, n_agents=2, horizon=4)
             crgs = build_crgs(m)
-            plain = core_solve(m, crgs, SearchConfig(memoization=False))
-            memo = core_solve(m, crgs, SearchConfig(memoization=True))
-            assert abs(plain.value - memo.value) <= 1e-9
-            assert (memo.stats.joint_actions_evaluated
-                    <= plain.stats.joint_actions_evaluated)
+            for pruning in (True, False):
+                report = core_solve(m, crgs, SearchConfig(pruning=pruning))
+                tried = (report.stats.joint_actions_evaluated
+                         + report.stats.nodes_pruned)
+                assert tried == sum(
+                    math.prod(len(crgs[i].nodes[(t, s)].kept_actions)
+                              for i, s in zip(comp, states))
+                    for t, comp, states in report.trace), (seed, pruning)
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
-           feature_scoped=st.booleans(), pruning=st.booleans(),
-           exhaustive_cri=st.booleans())
-    def test_memoization_agrees_on_random_draws(self, seed, n_agents,
-                                                feature_scoped, pruning,
-                                                exhaustive_cri):
+           feature_scoped=st.booleans())
+    def test_core_crg_ps_and_dp_agree_on_random_draws(self, seed, n_agents,
+                                                      feature_scoped):
         three = n_agents == 3
         m = random_instance(seed, n_agents=n_agents, horizon=3,
                             max_states=3 if three else 4,
                             max_actions=2 if three else 3,
                             feature_scoped=feature_scoped)
         crgs = build_crgs(m)
-        cfg = SearchConfig(pruning=pruning, exhaustive_cri=exhaustive_cri)
-        plain = core_solve(m, crgs, replace(cfg, memoization=False))
-        memo = core_solve(m, crgs, replace(cfg, memoization=True))
-        assert abs(plain.value - memo.value) <= 1e-9
-        for report in (plain, memo):
-            assert abs(evaluate_policy(m, report.policy)
-                       - plain.value) <= 1e-9
-        assert (memo.stats.joint_actions_evaluated
-                <= plain.stats.joint_actions_evaluated)
-        assert plain.stats.memo_hits == 0
-        # one table entry per distinct component solved, either way
-        assert len(memo.trace) == len(plain.trace)
+        dp = dp_solve(m).value
+        core = core_solve(m, crgs)
+        ps = crg_ps_solve(m, crgs)
+        for report in (core, ps):
+            assert abs(report.value - dp) <= 1e-9
+            assert abs(evaluate_policy(m, report.policy) - dp) <= 1e-9
+        assert ps.stats.nodes_pruned == 0
+        assert (core.stats.joint_actions_evaluated
+                <= ps.stats.joint_actions_evaluated)
 
     def test_pyramid_counters_are_pinned(self):
-        """pyra(5,3), seed 1: recorded counters of the unmemoised walk
-        (the paper's) and of the memoised default."""
+        """pyra(5,3), seed 1: recorded counters of the memoised walk."""
         from timmdp.domains import compile_mpp, gen_pyra
 
         m = compile_mpp(gen_pyra(5, 3, seed=1))
-        crgs = build_crgs(m)
-        plain = core_solve(m, crgs, SearchConfig(memoization=False))
-        memo = core_solve(m, crgs)
-        assert plain.value == memo.value == 95.8227
-        assert plain.stats.as_dict() == {
-            "joint_actions_evaluated": 4311, "nodes_pruned": 2275,
-            "decouple_events": 1080, "max_component_size": 5,
-            "memo_hits": 0}
-        assert memo.stats.as_dict() == {
+        report = core_solve(m, build_crgs(m))
+        assert report.value == 95.8227
+        assert report.stats.as_dict() == {
             "joint_actions_evaluated": 181, "nodes_pruned": 147,
             "decouple_events": 568, "max_component_size": 5,
             "memo_hits": 2134}
-        assert len(plain.trace) == len(memo.trace) == 55
+        assert len(report.trace) == 55
 
-    def test_crg_ps_keeps_exhaustive_cri(self):
-        refined = 0
-        for seed in range(10):
-            m = random_instance(seed, n_agents=2 + seed % 2, horizon=3)
-            crgs = build_crgs(m)
-            ps = crg_ps_solve(m, crgs, SearchConfig(exhaustive_cri=True))
-            same = core_solve(m, crgs, SearchConfig(pruning=False,
-                                                    exhaustive_cri=True))
-            cheap = crg_ps_solve(m, crgs)
-            assert ps.algorithm == "crg-ps" and ps.config.exhaustive_cri
-            assert ps.stats.as_dict() == same.stats.as_dict(), seed
-            assert abs(ps.value - dp_solve(m).value) <= 1e-9, seed
-            if ps.stats.decouple_events > cheap.stats.decouple_events:
-                refined += 1
-        # the flag must reach the walk, where it decouples earlier
-        assert refined > 0
+    def test_crg_ps_keeps_time_budget(self):
+        m = random_instance(2, n_agents=3, horizon=4)
+        report = crg_ps_solve(m, build_crgs(m), SearchConfig(time_budget=0.0))
+        assert report.algorithm == "crg-ps"
+        assert report.status == "timeout" and report.value is None
 
     def test_determinism_of_reports(self):
         m = random_instance(9, n_agents=2, horizon=4)
@@ -179,51 +160,40 @@ class TestPruningSafety:
     def test_lower_bound_only_rises_within_a_node(self):
         from itertools import product
 
-        import timmdp.search as search_mod
+        from timmdp.crg import cover_mask
+        from timmdp.search import _expand, components
 
         m = random_instance(12, n_agents=2, horizon=3)
         crgs = build_crgs(m)
-        search = search_mod._Search(m, crgs, SearchConfig())
+        # without pruning every successor's components are in the table
+        solved = crg_ps_solve(m, crgs).trace
+
+        def value(t, agents, states):
+            state_of = dict(zip(agents, states))
+            return math.fsum(
+                solved[(t, comp, tuple(state_of[i] for i in comp))][0]
+                for comp in components(crgs, t, agents, state_of))
+
         agents = tuple(m.agents)
         state_of = dict(zip(agents, m.initial))
-        for comp in search.components(0, agents, state_of):
+        for comp in components(crgs, 0, agents, state_of):
             comp_states = tuple(state_of[i] for i in comp)
+            masks = {i: cover_mask(crgs[i], comp) for i in comp}
             actions = list(product(*(
                 crgs[i].nodes[(0, s)].kept_actions
                 for i, s in zip(comp, comp_states))))
-            expansions = {a: search._expand(0, comp, comp_states, a)
+            expansions = {a: _expand(crgs, masks, 0, comp, comp_states, a)
                           for a in actions}
             bounds = {a: sum(p * dn for _, p, _, _, dn in rows)
                       for a, rows in expansions.items()}
             lower_max = max(bounds.values())
             history = [lower_max]
             for a in actions:
-                value = sum(p * (r + search.solve(1, comp, nxt))
-                            for nxt, p, r, _, _ in expansions[a])
-                lower_max = max(lower_max, value)
+                q = sum(p * (r + value(1, comp, nxt))
+                        for nxt, p, r, _, _ in expansions[a])
+                lower_max = max(lower_max, q)
                 history.append(lower_max)
             assert history == sorted(history)
-
-    def test_exhaustive_cri_same_values_refined_components(self):
-        import timmdp.search as search_mod
-
-        for seed in range(15):
-            m = random_instance(seed, n_agents=2, horizon=3)
-            crgs = build_crgs(m)
-            fast = core_solve(m, crgs, SearchConfig())
-            exact = core_solve(m, crgs, SearchConfig(exhaustive_cri=True))
-            assert abs(fast.value - exact.value) <= 1e-9, seed
-            # the exact test never keeps an edge the cheap test dropped
-            agents = tuple(m.agents)
-            state_of = dict(zip(agents, m.initial))
-            cheap = search_mod._Search(m, crgs, SearchConfig())
-            full = search_mod._Search(m, crgs,
-                                      SearchConfig(exhaustive_cri=True))
-            coarse = {i: comp
-                      for comp in cheap.components(0, agents, state_of)
-                      for i in comp}
-            for comp in full.components(0, agents, state_of):
-                assert len({coarse[i] for i in comp}) == 1, seed
 
 
 class TestComponents:
@@ -247,6 +217,38 @@ class TestComponents:
         crgs = build_crgs(m)
         comps = independent_components(m, crgs, 0, m.initial)
         assert comps == [tuple(range(7))]
+
+    def test_split_functions_cannot_fire(self):
+        """Soundness against the exhaustive oracle: at every reachable joint
+        state, a function whose scope the partition splits never fires in
+        any joint future."""
+        from timmdp.model import enumerate_successors
+
+        checked = 0
+        for seed in range(15):
+            # interactions confined to early stages split the partition often
+            m = random_instance(seed, n_agents=3, n_interactions=1 + seed % 2,
+                                layered=True, interaction_horizon=2)
+            crgs = build_crgs(m)
+            interactions = [k for k, rf in enumerate(m.rewards)
+                            if rf.is_interaction]
+            frontier = {tuple(m.initial)}
+            for t in range(m.horizon):
+                nxt = set()
+                for s in frontier:
+                    block = {i: comp for comp in
+                             independent_components(m, crgs, t, s)
+                             for i in comp}
+                    for k in interactions:
+                        if len({block[j] for j in m.rewards[k].scope}) > 1:
+                            checked += 1
+                            assert not bf_joint_future_fires(m, k, t, s), \
+                                (seed, t, s, k)
+                    for a in m.joint_actions(s):
+                        nxt.update(s2 for s2, _ in
+                                   enumerate_successors(m, s, a))
+                frontier = nxt
+        assert checked > 0
 
     def test_components_refine_along_branches(self):
         from timmdp.model import enumerate_successors
