@@ -23,9 +23,6 @@ from .crg import (
     build_crgs,
     dependent_actions,
     influence_set,
-    interaction_reachable,
-    local_cri,
-    lookup_transition_reward,
     partition_rewards,
     size_audit,
 )
@@ -69,8 +66,6 @@ from .search import (
     core_solve,
     crg_ps_solve,
     extract_policy,
-    independent_components,
-    joint_action_bounds,
 )
 
 __version__ = "0.1.0"

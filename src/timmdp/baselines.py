@@ -117,25 +117,6 @@ def evaluate_policy(m: TiMmdpInstance, pi: Policy) -> float:
     return math.fsum(terms)
 
 
-def policy_value_by_induction(m: TiMmdpInstance, pi: Policy) -> float:
-    """Second evaluator: backward induction restricted to the policy's
-    choices. Used to cross-check the sequence enumeration."""
-    cache: dict[tuple[int, JointState], float] = {}
-
-    def value(t: int, s: JointState) -> float:
-        if t == m.horizon:
-            return 0.0
-        key = (t, s)
-        if key not in cache:
-            a = pi.action(t, s)
-            cache[key] = math.fsum(
-                p * (total_reward(m, s, a, s2) + value(t + 1, s2))
-                for s2, p in enumerate_successors(m, s, a))
-        return cache[key]
-
-    return value(0, tuple(m.initial))
-
-
 def best_open_loop_value(m: TiMmdpInstance, limit: int = 200_000) -> float:
     """Best joint value when every agent sees only its own local state.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,31 +65,42 @@ def _policy_from_document(doc: dict) -> Policy:
     return Policy(n_agents=doc["n_agents"], entries=entries)
 
 
-def _solve_once(m: TiMmdpInstance, algorithm: str, time_limit: float | None):
-    """Run one algorithm; returns (value|None, stats dict, status, policy)."""
+def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
+                time_limit: float | None,
+                ) -> tuple[formats.ResultRow, Policy | None]:
+    """Run one algorithm on one instance; returns its result row and, when
+    solved, the policy."""
     start = time.perf_counter()
+    value, stats, status, policy = None, {}, "solved", None
     if algorithm == "dp":
         try:
             result = baselines.dp_solve(m, time_budget=time_limit)
         except search.TimeBudgetExceeded:
-            return None, {}, "timeout", None, time.perf_counter() - start
+            status = "timeout"
         except baselines.StateSpaceBudgetExceeded:
-            return None, {}, "resource", None, time.perf_counter() - start
-        wall = time.perf_counter() - start
-        stats = {"joint_actions_evaluated":
-                 result.stats["joint_actions_evaluated"]}
-        return result.value, stats, "solved", result.policy, wall
-    crgs = build_crgs(m, partition_rewards(m))
-    remaining = None
-    if time_limit is not None:
-        remaining = time_limit - (time.perf_counter() - start)
-        if remaining <= 0:
-            return None, {}, "timeout", None, time.perf_counter() - start
-    cfg = SearchConfig(pruning=(algorithm == "core"), time_budget=remaining)
-    report = search.core_solve(m, crgs, cfg)
-    wall = time.perf_counter() - start
-    return (report.value, report.stats.as_dict(), report.status,
-            report.policy, wall)
+            status = "resource"
+        else:
+            value, stats, policy = result.value, result.stats, result.policy
+    else:
+        crgs = build_crgs(m, partition_rewards(m))
+        remaining = None
+        if time_limit is not None:
+            remaining = time_limit - (time.perf_counter() - start)
+        if remaining is not None and remaining <= 0:
+            status = "timeout"
+        else:
+            cfg = SearchConfig(pruning=(algorithm == "core"),
+                               time_budget=remaining)
+            report = search.core_solve(m, crgs, cfg)
+            value, stats = report.value, report.stats.as_dict()
+            status, policy = report.status, report.policy
+    row = formats.ResultRow(
+        instance=name, algorithm=algorithm, status=status, value=value,
+        joint_actions_evaluated=stats.get("joint_actions_evaluated", 0),
+        nodes_pruned=stats.get("nodes_pruned", 0),
+        decouple_events=stats.get("decouple_events", 0),
+        wall_time_ms=int((time.perf_counter() - start) * 1000))
+    return row, policy
 
 
 def _cmd_generate(args) -> int:
@@ -121,29 +133,22 @@ def _cmd_solve(args) -> int:
     m = _load_valid_instance(args.instance)
     if isinstance(m, int):
         return m
-    value, stats, status, policy, wall = _solve_once(
-        m, args.algorithm, args.time_limit)
+    row, policy = _solve_once(Path(args.instance).stem, m, args.algorithm,
+                              args.time_limit)
     if args.stats:
-        row = formats.ResultRow(
-            instance=Path(args.instance).stem, algorithm=args.algorithm,
-            status=status, value=value,
-            joint_actions_evaluated=stats.get("joint_actions_evaluated", 0),
-            nodes_pruned=stats.get("nodes_pruned", 0),
-            decouple_events=stats.get("decouple_events", 0),
-            wall_time_ms=int(wall * 1000))
         Path(args.stats).write_text(formats.write_results([row]),
                                     encoding="utf-8")
-    if status == "timeout":
+    if row.status == "timeout":
         _err(f"time limit of {args.time_limit}s exceeded")
         return EXIT_TIMEOUT
-    if status == "resource":
+    if row.status == "resource":
         _err("state-space budget exceeded")
         return EXIT_RESOURCE
     if args.policy_out and policy is not None:
         Path(args.policy_out).write_text(
             formats.canonical_json(_policy_to_document(policy)),
             encoding="utf-8")
-    print(f"value {value:.17g}")
+    print(f"value {row.value:.17g}")
     return EXIT_OK
 
 
@@ -180,15 +185,9 @@ def _cmd_export_dot(args) -> int:
 
 def _bench_job(job: tuple[str, str, float | None]) -> formats.ResultRow:
     path, algorithm, time_limit = job
-    m = _load_instance(path)
-    value, stats, status, _, wall = _solve_once(m, algorithm, time_limit)
-    return formats.ResultRow(
-        instance=Path(path).stem, algorithm=algorithm, status=status,
-        value=value,
-        joint_actions_evaluated=stats.get("joint_actions_evaluated", 0),
-        nodes_pruned=stats.get("nodes_pruned", 0),
-        decouple_events=stats.get("decouple_events", 0),
-        wall_time_ms=int(wall * 1000))
+    row, _ = _solve_once(Path(path).stem, _load_instance(path), algorithm,
+                         time_limit)
+    return row
 
 
 def _cmd_bench(args) -> int:
@@ -219,6 +218,23 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _time_limit(text: str) -> float:
+    """Seconds, finite and not negative; 0 times out at once."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
+def _job_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timmdp",
@@ -241,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--instance", required=True)
-    solve.add_argument("--time-limit", type=float, default=None)
+    solve.add_argument("--time-limit", type=_time_limit, default=None)
     solve.add_argument("--stats", default=None,
                        help="write a one-row result CSV here")
     solve.add_argument("--policy-out", default=None,
@@ -263,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="sweep instances x algorithms")
     bench.add_argument("--instances", required=True, help="instance directory")
     bench.add_argument("--algorithms", default="core,crg-ps,dp")
-    bench.add_argument("--time-limit", type=float, default=None)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--time-limit", type=_time_limit, default=None)
+    bench.add_argument("--jobs", type=_job_count, default=1)
     bench.add_argument("--out", required=True, help="result CSV path")
     bench.set_defaults(func=_cmd_bench)
     return parser

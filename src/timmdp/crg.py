@@ -397,7 +397,6 @@ class ConditionalReturnGraph:
     trees: dict[LocalTransition, TransitionTree]
     instance: TiMmdpInstance
     index: InstanceIndex
-    cri_pruning: bool
 
     def node(self, t: int, state: int) -> CrgNode:
         return self.nodes[(t, state)]
@@ -582,17 +581,17 @@ def _local_optimal_actions(m: TiMmdpInstance, index: InstanceIndex,
 
 
 def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
-              cri_pruning: bool = True,
               index: InstanceIndex | None = None) -> ConditionalReturnGraph:
     """Construct agent i's conditional return graph for its assigned rewards.
 
     Other agents appear in the trees in ascending id order. Feature-level
     influence arcs are used for agent j whenever every assigned function
     reading j declares a feature scope for it. States from which no future
-    interaction involving the owner can fire are flagged; with
-    ``cri_pruning`` their non-optimal local branches are dropped from the
-    represented graph (they remain resolvable for lookups). Bounds are
-    annotated before returning.
+    interaction involving the owner can fire are flagged conditionally
+    reward independent and keep only their locally optimal action, so the
+    represented graph and its bounds leave the other actions out; trees are
+    still built for every available transition, which keeps them resolvable.
+    Bounds are annotated before returning.
     """
     assigned_everywhere = {k for fns in partition.assignment.values() for k in fns}
     for k, rf in enumerate(m.rewards):
@@ -635,7 +634,7 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             cri = all(index.interaction_dead(i, s, t, k) for k in touching)
             avail = tuple(local.available(s)) if t < m.horizon else ()
             kept = avail
-            if cri and cri_pruning and avail:
+            if cri and avail:
                 kept = (local_opt[(t, s)],)
             nodes[(t, s)] = CrgNode(state=s, layer=t, kept_actions=kept,
                                     locally_cri=cri)
@@ -649,20 +648,18 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
                                scope=tuple(scope), feature_level=feature_level,
                                projections=projections, nodes=nodes,
-                               trees=trees, instance=m, index=index,
-                               cri_pruning=cri_pruning)
+                               trees=trees, instance=m, index=index)
     _mark_represented(g)
     annotate_bounds(g)
     return g
 
 
 def build_crgs(m: TiMmdpInstance, partition: RewardPartition | None = None,
-               cri_pruning: bool = True) -> dict[int, ConditionalReturnGraph]:
+               ) -> dict[int, ConditionalReturnGraph]:
     """All agents' graphs over one shared instance index."""
     partition = partition or partition_rewards(m)
     index = InstanceIndex(m)
-    return {i: build_crg(m, partition, i, cri_pruning=cri_pruning, index=index)
-            for i in m.agents}
+    return {i: build_crg(m, partition, i, index=index) for i in m.agents}
 
 
 def _mark_represented(g: ConditionalReturnGraph) -> None:
@@ -716,73 +713,50 @@ def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
 # Queries
 
 
-def resolve_arc(g: ConditionalReturnGraph, t: int, tr_i: LocalTransition,
-                context: Mapping[int, LocalTransition],
-                strict: bool = True) -> CrgArc:
-    """Descend one transition tree to the leaf arc selected by ``context``.
+def resolve_arc(g: ConditionalReturnGraph, tr_i: LocalTransition,
+                context: Mapping[int, LocalTransition]) -> CrgArc:
+    """Descend tr_i's transition tree to the leaf arc ``context`` selects.
 
     ``context`` maps other agents to their concurrent local transitions.
-    With ``strict`` every agent in the graph's scope must be present; the
-    lenient mode fills gaps with wildcard arcs, which is sound exactly when
-    the missing agents' interactions are dead (as during decoupled search).
+    An agent it leaves out takes no label at its levels, and the first arc,
+    in tree order, that agrees with every resolved label is returned. Each
+    arc was priced through a completion that picks every agent's transition
+    from that agent's own labels alone, so all agreeing arcs carry the same
+    components for every function whose scope the context covers; the
+    others belong to absent agents and are dropped by ``cover_mask`` where
+    a decoupled search leaves them out.
     """
     tree = g.trees.get(tr_i)
     if tree is None:
         raise CrgError(f"transition {tr_i} not represented for agent {g.owner}")
     labels: list = []
-    fixed: dict[int, object] = {}
-    for pos, (kind, agent) in enumerate(tree.skeleton):
+    acts: dict[int, object] = {}
+    for kind, agent in tree.skeleton:
         ctx = context.get(agent)
         if ctx is None:
-            if strict:
-                raise CrgError(f"context is missing agent {agent}")
             labels.append(None)
-            continue
-        if kind == "act":
-            options = tree.act_labels[agent]
+        elif kind == "act":
             if ctx[1] in tree.deps[agent]:
-                labels.append(ctx[1])
-            elif WILDCARD in options:
-                labels.append(WILDCARD)
+                acts[agent] = ctx[1]
+            elif WILDCARD in tree.act_labels[agent]:
+                acts[agent] = WILDCARD
             else:
                 raise CrgError(
                     f"action {ctx[1]} of agent {agent} has no arc under {tr_i}")
+            labels.append(acts[agent])
         else:
-            act_pos = _act_position(tree, agent)
-            act_label = labels[act_pos] if act_pos is not None else WILDCARD
-            known = tree.inf_labels.get((agent, act_label), ())
+            known = tree.inf_labels.get((agent, acts.get(agent, WILDCARD)), ())
             proj = g.projections[agent]
             pair = (proj[ctx[0]], proj[ctx[2]])
             labels.append(pair if pair in known else NO_INFLUENCE)
-        fixed[pos] = labels[-1]
-    if len(fixed) == len(labels):
-        try:
-            return tree.arcs[tuple(labels)]
-        except KeyError:
-            raise CrgError(f"unresolvable path {labels} for {tr_i} "
-                           f"in agent {g.owner}'s graph") from None
-    # Lenient mode with absent agents: their interactions are dead for the
-    # caller, and resolved functions carry identical values on every arc
-    # agreeing with the resolved labels, so the first such arc serves.
-    for key in sorted(tree.arcs, key=repr):
-        if all(key[pos] == lab for pos, lab in fixed.items()):
-            return tree.arcs[key]
-    raise CrgError(f"no arc matches resolved labels {fixed} for {tr_i} "
+    arc = tree.arcs.get(tuple(labels))
+    if arc is not None:
+        return arc
+    for key, arc in tree.arcs.items():
+        if all(lab is None or lab == k for lab, k in zip(labels, key)):
+            return arc
+    raise CrgError(f"no arc matches labels {labels} for {tr_i} "
                    f"in agent {g.owner}'s graph")
-
-
-def _act_position(tree: TransitionTree, agent: int) -> int | None:
-    for idx, (kind, j) in enumerate(tree.skeleton):
-        if kind == "act" and j == agent:
-            return idx
-    return None
-
-
-def lookup_transition_reward(g: ConditionalReturnGraph, t: int,
-                             tr_i: LocalTransition,
-                             context: Mapping[int, LocalTransition]) -> float:
-    """Assigned reward of the joint transition resolved by ``context``."""
-    return resolve_arc(g, t, tr_i, context, strict=True).reward
 
 
 def cover_mask(g: ConditionalReturnGraph,
@@ -806,28 +780,6 @@ def assigned_reward(arc: CrgArc, keep: tuple[int, ...] | None) -> float:
     if keep is None:
         return arc.reward
     return math.fsum(arc.components[pos] for pos in keep)
-
-
-def local_cri(g: ConditionalReturnGraph, s_i: int, t: int) -> bool:
-    """Is the owner conditionally reward independent from everyone here?
-
-    True when no interaction function whose scope contains the owner -
-    wherever it was assigned - can still produce a nonzero value from this
-    local state at stage t.
-    """
-    return g.nodes[(t, s_i)].locally_cri
-
-
-def interaction_reachable(g: ConditionalReturnGraph, s_i: int, t: int,
-                          e: Sequence[int]) -> bool:
-    """Can a nonzero arc of an assigned function with scope ``e`` still be
-    reached from this node? False is definitive: the agents of ``e`` are
-    conditionally reward independent for that function from here on.
-    """
-    scope = tuple(e)
-    fns = [k for k in g.functions if g.instance.rewards[k].scope == scope]
-    live = g.nodes[(t, s_i)].live_interactions
-    return any(k in live for k in fns)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -78,13 +78,10 @@ class Policy:
 
     ``entries`` maps (stage, joint state) to the full joint action and is
     closed under its own reachable states from the initial one.
-    ``components`` keeps the raw per-component decisions for inspection.
     """
 
     n_agents: int
     entries: dict[tuple[int, JointState], JointAction]
-    components: dict[tuple[int, tuple[int, ...], tuple[int, ...]],
-                     tuple[int, ...]] = field(default_factory=dict)
 
     def action(self, t: int, s: JointState) -> JointAction:
         try:
@@ -102,7 +99,6 @@ class SolveReport:
     wall_time: float
     status: str                    # "solved" or "timeout"
     algorithm: str
-    config: SearchConfig | None = None
     # (t, component, component states) -> (value, decision), one entry per
     # distinct component solved
     trace: dict | None = None
@@ -168,7 +164,7 @@ def _expand(crgs: Mapping[int, ConditionalReturnGraph], masks: Mapping,
         for i, s, a, dst, q in combo:
             p *= q
             g = crgs[i]
-            arc = resolve_arc(g, t, (s, a, dst), context, strict=False)
+            arc = resolve_arc(g, (s, a, dst), context)
             r_i = assigned_reward(arc, masks[i])
             reward_parts.append(r_i)
             child = g.nodes[(t + 1, dst)]
@@ -274,8 +270,7 @@ def core_solve(m: TiMmdpInstance,
     algorithm = "core" if cfg.pruning else "crg-ps"
     report = SolveReport(value=value, policy=None, stats=search.stats,
                          wall_time=wall, status=status, algorithm=algorithm,
-                         config=cfg, trace=search.table, instance=m,
-                         crgs=crgs)
+                         trace=search.table, instance=m, crgs=crgs)
     if status == "solved":
         report.policy = extract_policy(report)
     return report
@@ -288,28 +283,6 @@ def crg_ps_solve(m: TiMmdpInstance,
     return core_solve(m, crgs, replace(cfg or SearchConfig(), pruning=False))
 
 
-def joint_action_bounds(m: TiMmdpInstance,
-                        crgs: Mapping[int, ConditionalReturnGraph],
-                        t: int, agents: Sequence[int],
-                        states: Sequence[int],
-                        action: Sequence[int]) -> tuple[float, float]:
-    """Probability-weighted (lower, upper) return bounds for one joint action
-    of the given agent subset."""
-    agents = tuple(agents)
-    masks = {i: cover_mask(crgs[i], agents) for i in agents}
-    rows = _expand(crgs, masks, t, agents, tuple(states), tuple(action))
-    upper = math.fsum(p * up for _, p, _, up, _ in rows)
-    lower = math.fsum(p * dn for _, p, _, _, dn in rows)
-    return lower, upper
-
-
-def independent_components(m: TiMmdpInstance,
-                           crgs: Mapping[int, ConditionalReturnGraph],
-                           t: int, s: JointState) -> list[tuple[int, ...]]:
-    """Conditionally independent agent subsets at one joint state."""
-    return components(crgs, t, m.agents, dict(zip(m.agents, s)))
-
-
 def extract_policy(report: SolveReport) -> Policy:
     """Compose the recorded per-component argmax decisions into a joint
     policy defined on every state it can reach from the start."""
@@ -318,7 +291,6 @@ def extract_policy(report: SolveReport) -> Policy:
                                    "incomplete solve")
     m = report.instance
     entries: dict[tuple[int, JointState], JointAction] = {}
-    decisions: dict = {}
     stack = [(0, tuple(m.initial))]
     seen = set()
     while stack:
@@ -331,11 +303,10 @@ def extract_policy(report: SolveReport) -> Policy:
         for comp in components(report.crgs, t, m.agents, state_of):
             comp_states = tuple(state_of[i] for i in comp)
             _, decision = report.trace[(t, comp, comp_states)]
-            decisions[(t, comp, comp_states)] = decision
             for i, a in zip(comp, decision):
                 action[i] = a
         joint = tuple(action)
         entries[(t, s)] = joint
         for nxt, _ in enumerate_successors(m, s, joint):
             stack.append((t + 1, nxt))
-    return Policy(n_agents=m.n_agents, entries=entries, components=decisions)
+    return Policy(n_agents=m.n_agents, entries=entries)

@@ -204,7 +204,7 @@ def test_criterion_5_wildcard_soundness_and_completeness():
             parts = []
             for i, g in crgs.items():
                 arc = resolve_arc(
-                    g, t, (s[i], a[i], s2[i]),
+                    g, (s[i], a[i], s2[i]),
                     {j: tr for j, tr in context.items() if j != i})
                 parts.extend(arc.components)
             assert math.fsum(parts) == total_reward(m, s, a, s2), (k, t, s, a)
@@ -218,8 +218,7 @@ def test_criterion_5_wildcard_soundness_and_completeness():
                         if b in deps:
                             continue
                         for s_j, n_j in index.by_action[j].get(b, []):
-                            arc = resolve_arc(g, 0, tr, {j: (s_j, b, n_j)},
-                                              strict=False)
+                            arc = resolve_arc(g, tr, {j: (s_j, b, n_j)})
                             rewards.add(arc.reward)
                     assert len(rewards) <= 1, (k, i, tr, j)
         passed += 1

@@ -5,7 +5,6 @@ from timmdp.baselines import (
     best_open_loop_value,
     dp_solve,
     evaluate_policy,
-    policy_value_by_induction,
 )
 from timmdp.crg import build_crgs
 from timmdp.domains import example_two_agent
@@ -18,7 +17,7 @@ from timmdp.model import (
 )
 from timmdp.search import Policy, core_solve
 
-from util import random_instance
+from util import policy_value_by_induction, random_instance
 from timmdp.rng import SplitMix64
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import re
 
+import pytest
+
 from timmdp.cli import run_cli
 from timmdp.crg import build_crgs
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
@@ -109,6 +111,65 @@ class TestMemoFlag:
             assert row["status"] == "solved"
             assert (int(row["joint_actions_evaluated"])
                     == expected.stats.joint_actions_evaluated)
+
+
+class TestResultRows:
+    def test_solve_stats_row_equals_the_bench_row(self, tmp_path, capsys):
+        path = _write_example(tmp_path)
+        out_csv = tmp_path / "bench.csv"
+        assert run_cli(["bench", "--instances", str(tmp_path),
+                        "--out", str(out_csv)]) == 0
+        bench = {row["algorithm"]: row for row in
+                 csv.DictReader(out_csv.read_text().splitlines())}
+        assert sorted(bench) == ["core", "crg-ps", "dp"]
+        for algorithm, want in bench.items():
+            stats = tmp_path / f"{algorithm}.csv"
+            assert run_cli(["solve", "--algorithm", algorithm, "--instance",
+                            str(path), "--stats", str(stats)]) == 0
+            [got] = csv.DictReader(stats.read_text().splitlines())
+            del got["wall_time_ms"], want["wall_time_ms"]
+            assert got == want
+            assert int(got["joint_actions_evaluated"]) > 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("algorithm", ["core", "dp"])
+    def test_timeout_row_has_no_value(self, tmp_path, capsys, algorithm):
+        path = _write_example(tmp_path)
+        stats = tmp_path / "stats.csv"
+        assert run_cli(["solve", "--algorithm", algorithm, "--instance",
+                        str(path), "--time-limit", "0",
+                        "--stats", str(stats)]) == 4
+        capsys.readouterr()
+        [row] = csv.DictReader(stats.read_text().splitlines())
+        assert row["status"] == "timeout" and row["value"] == ""
+
+
+class TestFlagValues:
+    """Out-of-range numbers are usage errors, not silently different runs;
+    each value is rejected while parsing, before any solve or pool."""
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "inf", "soon"])
+    def test_time_limit_must_be_finite_and_not_negative(
+            self, tmp_path, capsys, command, value):
+        path = _write_example(tmp_path)
+        target = (["--algorithm", "core", "--instance", str(path)]
+                  if command == "solve" else
+                  ["--instances", str(tmp_path),
+                   "--out", str(tmp_path / "out.csv")])
+        assert run_cli([command, *target, "--time-limit", value]) == 2
+        captured = capsys.readouterr()
+        assert "--time-limit" in captured.err and captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5", "1.5"])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        _write_example(tmp_path)
+        out_csv = tmp_path / "out.csv"
+        assert run_cli(["bench", "--instances", str(tmp_path), "--jobs",
+                        value, "--out", str(out_csv)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestEvaluate:

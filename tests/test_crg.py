@@ -9,6 +9,7 @@ from timmdp.crg import (
     NO_INFLUENCE,
     WILDCARD,
     CrgArc,
+    CrgError,
     InstanceIndex,
     assigned_reward,
     build_crg,
@@ -16,16 +17,12 @@ from timmdp.crg import (
     cover_mask,
     dependent_actions,
     influence_set,
-    interaction_reachable,
-    local_cri,
-    lookup_transition_reward,
     partition_rewards,
     resolve_arc,
     size_audit,
 )
 from timmdp.domains import example_partition, example_two_agent
 from timmdp.model import RewardFunction, total_reward
-from timmdp.search import core_solve
 
 from util import (
     all_joint_transitions,
@@ -56,7 +53,7 @@ def crg_reward_sum(m, crgs, t, s, a, s2):
     context = {i: (s[i], a[i], s2[i]) for i in m.agents}
     parts = []
     for i, g in crgs.items():
-        arc = resolve_arc(g, t, (s[i], a[i], s2[i]),
+        arc = resolve_arc(g, (s[i], a[i], s2[i]),
                           {j: tr for j, tr in context.items() if j != i})
         parts.extend(arc.components)
     return math.fsum(parts)
@@ -205,27 +202,23 @@ class TestBuild:
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
         # agent 1 plays a while agent 0 plays b: non-dependent, so only the
         # local component remains
-        r = lookup_transition_reward(crgs[1], 0, (0, 0, 1),
-                                     {0: (0, 1, 2)})
+        r = resolve_arc(crgs[1], (0, 0, 1), {0: (0, 1, 2)}).reward
         assert r == 2.0
 
     def test_lookup_interaction_path_adds_feature_resolved_value(self):
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
-        r_true = lookup_transition_reward(crgs[1], 0, (0, 0, 1),
-                                          {0: (0, 0, 1)})
+        r_true = resolve_arc(crgs[1], (0, 0, 1), {0: (0, 0, 1)}).reward
         assert r_true == 2.0 + 8.0
-        r_false = lookup_transition_reward(crgs[1], 1, (2, 0, 5),
-                                           {0: (3, 0, 6)})
+        r_false = resolve_arc(crgs[1], (2, 0, 5), {0: (3, 0, 6)}).reward
         assert r_false == 3.0 + (-4.0)
 
-    def test_lookup_requires_scope_coverage(self):
-        from timmdp.crg import CrgError
-
+    def test_lookup_of_a_transition_the_graph_lacks_raises(self):
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
-        with pytest.raises(CrgError):
-            lookup_transition_reward(crgs[1], 0, (0, 0, 1), {})
+        assert (0, 0, 2) not in crgs[1].trees
+        with pytest.raises(CrgError, match="not represented"):
+            resolve_arc(crgs[1], (0, 0, 2), {0: (0, 0, 1)})
 
     def test_wildcard_substitution_never_changes_leaf_reward(self):
         for seed in range(8):
@@ -249,9 +242,42 @@ class TestBuild:
                                 if (s_j, n_j) in pairs:
                                     continue
                                 ctx = {j: (s_j, a, n_j)}
-                                arc = resolve_arc(g, 0, tr, ctx, strict=False)
+                                arc = resolve_arc(g, tr, ctx)
                                 rewards.add(arc.reward)
                         assert len(rewards) <= 1, (seed, i, tr, j)
+
+
+class TestPartialContext:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_interactions=st.integers(1, 3),
+           feature_scoped=st.booleans())
+    def test_masked_reward_equals_every_full_extension(
+            self, seed, n_interactions, feature_scoped):
+        """A context over a cover resolves, under the cover's mask, to the
+        same reward bit for bit as every full context extending it."""
+        from itertools import combinations, product
+
+        m = random_instance(seed, n_agents=3, max_states=3, max_actions=2,
+                            n_interactions=n_interactions,
+                            feature_scoped=feature_scoped)
+        for i, g in build_crgs(m).items():
+            others = [j for j in g.scope if j != i]
+            for r in range(len(others) + 1):
+                for inside in combinations(others, r):
+                    keep = cover_mask(g, (i,) + inside)
+                    outside = [j for j in others if j not in inside]
+                    for tr in g.trees:
+                        for part in product(*(available_transitions(m, j)
+                                              for j in inside)):
+                            ctx = dict(zip(inside, part))
+                            got = assigned_reward(
+                                resolve_arc(g, tr, ctx), keep).hex()
+                            for rest in product(*(available_transitions(m, j)
+                                                  for j in outside)):
+                                full = {**ctx, **dict(zip(outside, rest))}
+                                want = assigned_reward(
+                                    resolve_arc(g, tr, full), keep).hex()
+                                assert got == want, (i, inside, tr, full)
 
 
 class TestBounds:
@@ -275,9 +301,17 @@ class TestBounds:
             ((0,), (0,), (1,)): 1.0,
             ((1,), (0,), (2,)): 2.0,
             ((1,), (1,), (2,)): 5.0})
-        m = TiMmdpInstance(locals=(local,), rewards=[rf], horizon=2,
-                           initial=(0,))
-        g = build_crgs(m, cri_pruning=False)[0]
+        # A partner whose interaction with x can still fire at stage 1
+        # keeps node (1, 1) dependent, so both of its actions stay.
+        partner = LocalMdp(states, (LocalAction(0, "z"),),
+                           {(0, 0): ((1, 1.0),), (1, 0): ((2, 1.0),)})
+        shared = RewardFunction(scope=(0, 1), table={
+            ((1, 1), (0, 0), (2, 2)): 4.0})
+        m = TiMmdpInstance(locals=(local, partner), rewards=[rf, shared],
+                           horizon=2, initial=(0, 0))
+        g = build_crgs(m)[0]
+        assert g.functions == (0,)
+        assert g.node(1, 1).kept_actions == (0, 1)
         assert g.node(0, 0).upper == 6.0
         assert g.node(0, 0).lower == 3.0
 
@@ -306,9 +340,9 @@ class TestLocalCri:
     def test_worked_example_after_a_is_independent(self):
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
-        assert local_cri(crgs[0], 1, 1)       # a played, interaction dead
-        assert not local_cri(crgs[0], 2, 1)   # a still available
-        assert local_cri(crgs[1], 1, 1)
+        assert crgs[0].node(1, 1).locally_cri      # a played, interaction dead
+        assert not crgs[0].node(1, 2).locally_cri  # a still available
+        assert crgs[1].node(1, 1).locally_cri
         # pruning keeps only the locally optimal continuation
         assert crgs[0].node(1, 1).kept_actions == (2,)
 
@@ -327,44 +361,44 @@ class TestLocalCri:
 
 
 class TestInteractionReachable:
+    """A function missing from a node's ``live_interactions`` can no longer
+    produce a nonzero arc anywhere below that node."""
+
     def test_false_at_horizon(self):
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
         for s in (5, 6, 7, 8, 9):
-            assert not interaction_reachable(crgs[1], s, 2, (0, 1))
+            assert not crgs[1].node(2, s).live_interactions
 
     def test_worked_example_after_joint_ba(self):
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
         # joint action (b, a): agent 1 lands in state 1 with a used up
-        assert not interaction_reachable(crgs[1], 1, 1, (0, 1))
-        assert interaction_reachable(crgs[1], 2, 1, (0, 1))
+        assert 2 not in crgs[1].node(1, 1).live_interactions
+        assert 2 in crgs[1].node(1, 2).live_interactions
 
     def test_sound_against_exhaustive_future_sweep(self):
         from util import bf_joint_future_fires
 
-        for seed in range(10):
-            m = random_instance(seed, n_agents=2, feature_scoped=True)
+        not_live = 0
+        for seed in range(15):
+            # interactions confined to early stages go dead on many branches
+            m = random_instance(seed, n_agents=2 + seed % 2,
+                                n_interactions=1 + (seed // 2) % 2,
+                                layered=True, interaction_horizon=2)
             part = partition_rewards(m)
             crgs = build_crgs(m, part)
-            for t, s, a, s2, _ in all_joint_transitions(m):
+            states = {(t, s) for t, s, _, _, _ in all_joint_transitions(m)}
+            for t, s in sorted(states):
                 for k, rf in enumerate(m.rewards):
                     if not rf.is_interaction:
                         continue
                     owner = part.owner(k)
-                    g = crgs[owner]
-                    if not interaction_reachable(g, s[owner], t, rf.scope):
+                    if k not in crgs[owner].node(t, s[owner]).live_interactions:
+                        not_live += 1
                         assert not bf_joint_future_fires(m, k, t, s), \
                             (seed, k, t, s)
-
-
-class TestCriPruningPreservesValue:
-    def test_solve_with_and_without_pruned_graphs(self):
-        for seed in range(10):
-            m = random_instance(seed, feature_scoped=(seed % 2 == 0))
-            with_prune = core_solve(m, build_crgs(m, cri_pruning=True))
-            without = core_solve(m, build_crgs(m, cri_pruning=False))
-            assert abs(with_prune.value - without.value) <= 1e-9
+        assert not_live > 0
 
 
 class TestAssignedReward:

@@ -52,7 +52,9 @@ def graph_fingerprint(g) -> tuple:
             _sorted(tree.inf_labels.items()),
             arcs))
     return (g.owner, g.horizon, g.functions, g.scope,
-            _sorted(g.feature_level.items()), g.cri_pruning, nodes,
+            # graphs once carried a CRI-pruning flag here; every graph is
+            # pruned now, and the constant keeps the recorded digests
+            _sorted(g.feature_level.items()), True, nodes,
             tuple(trees))
 
 
@@ -88,28 +90,26 @@ def criterion_7_instance(k: int):
         seed=stream(777_100, k).next_u64())))
 
 
-def _example(partition, cri_pruning=True):
+def _example(partition):
     def build():
         m = example_two_agent()
         part = partition_rewards(m, partition() if partition else "balanced")
-        return build_crgs(m, part, cri_pruning=cri_pruning)
+        return build_crgs(m, part)
     return build
 
 
-def _plain(make, **kwargs):
+def _plain(make):
     def build():
-        return build_crgs(make(), **kwargs)
+        return build_crgs(make())
     return build
 
 
 CASES = {
     "example-fixed": _example(example_partition),
-    "example-fixed-unpruned": _example(example_partition, cri_pruning=False),
     "example-balanced": _example(None),
     "mpp-build-0": _plain(lambda: mpp_build_instance(0)),
     "mpp-build-1": _plain(lambda: mpp_build_instance(1)),
-    "mpp-build-2-unpruned": _plain(lambda: mpp_build_instance(2),
-                                   cri_pruning=False),
+    "mpp-build-2": _plain(lambda: mpp_build_instance(2)),
     "criterion-7-k0": _plain(lambda: criterion_7_instance(0)),
     "criterion-7-k1": _plain(lambda: criterion_7_instance(1)),
     "pyra-5-3": _plain(lambda: compile_mpp(gen_pyra(5, 3, seed=1))),
@@ -132,10 +132,9 @@ EXPECTED = {
     "criterion-7-k1": "8f657c0a9fa75436",
     "example-balanced": "ac8abd635d9a2c23",
     "example-fixed": "e063429b2427db53",
-    "example-fixed-unpruned": "c4d68c5dc6eecc17",
     "mpp-build-0": "96d754dd7e561aab",
     "mpp-build-1": "40fa2d9cbe6642a6",
-    "mpp-build-2-unpruned": "16e494dd837ff592",
+    "mpp-build-2": "6a491e32f2c82207",
     "pyra-5-3": "299d1fa765ec84e3",
     "random-0": "f6a01707431a33fe",
     "random-1": "de0df6bac9fc248d",

@@ -13,11 +13,14 @@ from timmdp.search import (
     core_solve,
     crg_ps_solve,
     extract_policy,
-    independent_components,
-    joint_action_bounds,
 )
 
-from util import bf_joint_future_fires, random_instance
+from util import (
+    bf_joint_future_fires,
+    independent_components,
+    joint_action_bounds,
+    random_instance,
+)
 
 
 class TestSearchConfig:
@@ -281,7 +284,7 @@ class TestJointActionBounds:
         m = example_two_agent()
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
         # from joint state (2, 1) at t=1, joint action (a, b) is deterministic
-        lo, hi = joint_action_bounds(m, crgs, 1, (0, 1), (2, 1), (0, 1))
+        lo, hi = joint_action_bounds(crgs, 1, (0, 1), (2, 1), (0, 1))
         assert lo == hi
 
     def test_q_values_lie_within_bounds(self):
@@ -301,7 +304,7 @@ class TestJointActionBounds:
                             p * (total_reward(m, s, a, s2)
                                  + dp.values[(t + 1, s2)])
                             for s2, p in enumerate_successors(m, s, a))
-                        lo, hi = joint_action_bounds(m, crgs, t, agents, s, a)
+                        lo, hi = joint_action_bounds(crgs, t, agents, s, a)
                         assert lo - 1e-9 <= q <= hi + 1e-9, (seed, t, s, a)
                         nxt.update(
                             s2 for s2, _ in enumerate_successors(m, s, a))

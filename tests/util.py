@@ -1,24 +1,33 @@
-"""Shared test helpers: seeded random instances and brute-force oracles.
+"""Shared test helpers: seeded random instances, brute-force oracles and
+small queries of the search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
-implementation paths they check.
+implementation paths they check. The search queries at the end call the
+search's own functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import product
 
+from timmdp.crg import cover_mask
 from timmdp.model import (
+    ExecutionSequence,
     LocalAction,
     LocalMdp,
     LocalState,
     RewardFunction,
     TiMmdpInstance,
+    enumerate_successors,
     reachable_local_states,
+    reward_value,
     reward_value_local,
+    total_reward,
 )
+from timmdp.search import _expand, components
 from timmdp.rng import SplitMix64
 
 # Outcome probability menus with exact float sums.
@@ -337,8 +346,6 @@ def bf_joint_future_fires(m: TiMmdpInstance, rf_index: int, t: int,
                           s: tuple[int, ...]) -> bool:
     """Exhaustive check over all joint futures from (t, s): does any joint
     transition give the function a nonzero value?"""
-    from timmdp.model import enumerate_successors, reward_value
-
     rf = m.rewards[rf_index]
     frontier = {tuple(s)}
     for x in range(t, m.horizon):
@@ -355,8 +362,6 @@ def bf_joint_future_fires(m: TiMmdpInstance, rf_index: int, t: int,
 
 def all_joint_transitions(m: TiMmdpInstance):
     """Every (t, s, a, s2) with positive probability, stage-reachable."""
-    from timmdp.model import enumerate_successors
-
     frontier = {tuple(m.initial)}
     for t in range(m.horizon):
         nxt = set()
@@ -369,8 +374,6 @@ def all_joint_transitions(m: TiMmdpInstance):
 
 
 def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
-    from timmdp.model import ExecutionSequence, enumerate_successors
-
     steps = [tuple(m.initial)]
     s = tuple(m.initial)
     for t in range(m.horizon):
@@ -388,3 +391,44 @@ def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
         steps.extend([a, s2])
         s = s2
     return ExecutionSequence(steps=tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Search and policy helpers
+
+
+def joint_action_bounds(crgs, t: int, agents, states,
+                        action) -> tuple[float, float]:
+    """Probability-weighted (lower, upper) return bounds of one joint action
+    of the given agent subset, as the search computes them."""
+    agents = tuple(agents)
+    masks = {i: cover_mask(crgs[i], agents) for i in agents}
+    rows = _expand(crgs, masks, t, agents, tuple(states), tuple(action))
+    upper = math.fsum(p * up for _, p, _, up, _ in rows)
+    lower = math.fsum(p * dn for _, p, _, _, dn in rows)
+    return lower, upper
+
+
+def independent_components(m: TiMmdpInstance, crgs, t: int,
+                           s) -> list[tuple[int, ...]]:
+    """Conditionally independent agent subsets at one joint state."""
+    return components(crgs, t, m.agents, dict(zip(m.agents, s)))
+
+
+def policy_value_by_induction(m: TiMmdpInstance, pi) -> float:
+    """Backward induction restricted to the policy's choices, a second
+    evaluator to cross-check ``evaluate_policy``'s sequence enumeration."""
+    cache: dict = {}
+
+    def value(t: int, s) -> float:
+        if t == m.horizon:
+            return 0.0
+        key = (t, s)
+        if key not in cache:
+            a = pi.action(t, s)
+            cache[key] = math.fsum(
+                p * (total_reward(m, s, a, s2) + value(t + 1, s2))
+                for s2, p in enumerate_successors(m, s, a))
+        return cache[key]
+
+    return value(0, tuple(m.initial))
