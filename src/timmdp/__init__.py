@@ -49,8 +49,10 @@ from .model import (
     LocalAction,
     LocalMdp,
     LocalState,
+    Policy,
     RewardFunction,
     TiMmdpInstance,
+    TimeBudgetExceeded,
     Violation,
     enumerate_successors,
     joint_transition_probability,
@@ -59,10 +61,8 @@ from .model import (
     validate_instance,
 )
 from .search import (
-    Policy,
     SearchConfig,
     SolveReport,
-    TimeBudgetExceeded,
     core_solve,
     crg_ps_solve,
     extract_policy,

@@ -9,6 +9,7 @@ variables - so runs are reproducible from the command line alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -286,10 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     return args.func(args)

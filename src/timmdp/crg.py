@@ -122,7 +122,6 @@ class InstanceIndex:
                     per_action.setdefault(a, []).append((s, dst))
             self.available.append(trs)
             self.by_action.append(per_action)
-        self._projections: dict[tuple[int, tuple[str, ...] | None], tuple] = {}
         self._reach_from: dict[tuple[int, int, int], list[set[int]]] = {}
         self._entry_sources: dict[tuple[int, tuple], tuple[frozenset, ...]] = {}
         self._dead: dict[tuple[int, int, int, int], bool] = {}
@@ -135,18 +134,8 @@ class InstanceIndex:
         return self._reach_from[key]
 
     def projection(self, agent: int, feats: tuple[str, ...] | None) -> tuple:
-        """The agent's states as a reward table reads them, indexed by state
-        id: the tuple of ``feats`` values, or the id itself without
-        features. Compiled once per (agent, feature tuple)."""
-        key = (agent, feats)
-        proj = self._projections.get(key)
-        if proj is None:
-            states = self.m.locals[agent].states
-            proj = (tuple(range(len(states))) if feats is None else
-                    tuple(tuple(st.features[f] for f in feats)
-                          for st in states))
-            self._projections[key] = proj
-        return proj
+        """The instance's own compiled table, ``TiMmdpInstance.projection``."""
+        return self.m.projection(agent, feats)
 
     def part_matches(self, rf: RewardFunction, agent: int,
                      tr: LocalTransition, part: tuple) -> bool:

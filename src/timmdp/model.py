@@ -105,6 +105,10 @@ class TiMmdpInstance:
     horizon: int
     initial: JointState
     metadata: dict = field(default_factory=dict)
+    # (agent, feature tuple) -> projection table; a cache, so it stays out
+    # of equality and repr, and a ``dataclasses.replace`` copy starts empty
+    _projections: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -117,6 +121,43 @@ class TiMmdpInstance:
     def joint_actions(self, s: JointState) -> Iterator[JointAction]:
         per_agent = [self.locals[i].available(s[i]) for i in self.agents]
         return product(*per_agent)
+
+    def projection(self, agent: int, feats: tuple[str, ...] | None) -> tuple:
+        """The agent's states as a reward table reads them, indexed by state
+        id: the tuple of ``feats`` values, or the id itself without
+        features. Compiled once per (agent, feature tuple)."""
+        key = (agent, feats)
+        proj = self._projections.get(key)
+        if proj is None:
+            states = self.locals[agent].states
+            proj = (tuple(range(len(states))) if feats is None else
+                    tuple(tuple(st.features[f] for f in feats)
+                          for st in states))
+            self._projections[key] = proj
+        return proj
+
+
+class TimeBudgetExceeded(Exception):
+    """A solve ran past its time budget."""
+
+
+@dataclass
+class Policy:
+    """Joint decisions by (stage, joint state).
+
+    ``entries`` maps (stage, joint state) to the full joint action and is
+    closed under its own reachable states from the initial one.
+    """
+
+    n_agents: int
+    entries: dict[tuple[int, JointState], JointAction]
+
+    def action(self, t: int, s: JointState) -> JointAction:
+        try:
+            return self.entries[(t, tuple(s))]
+        except KeyError:
+            raise KeyError(f"policy undefined at stage {t}, state {tuple(s)}") \
+                from None
 
 
 @dataclass(frozen=True)
@@ -131,27 +172,21 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.message}"
 
 
-def project_state(m: TiMmdpInstance, agent: int, state_id: int,
-                  features: tuple[str, ...]) -> tuple:
-    st = m.locals[agent].states[state_id]
-    return tuple(st.features[f] for f in features)
-
-
 def reward_key(m: TiMmdpInstance, rf: RewardFunction,
                states: Sequence[int], actions: Sequence[int],
                next_states: Sequence[int]) -> tuple:
     """Table key for local components given in scope order."""
-    s_part, a_part, n_part = [], [], []
+    s_part, n_part = [], []
     for pos, j in enumerate(rf.scope):
         feats = rf.features_read(j)
         if feats is None:
             s_part.append(states[pos])
             n_part.append(next_states[pos])
         else:
-            s_part.append(project_state(m, j, states[pos], feats))
-            n_part.append(project_state(m, j, next_states[pos], feats))
-        a_part.append(actions[pos])
-    return tuple(s_part), tuple(a_part), tuple(n_part)
+            proj = m.projection(j, feats)
+            s_part.append(proj[states[pos]])
+            n_part.append(proj[next_states[pos]])
+    return tuple(s_part), tuple(actions), tuple(n_part)
 
 
 def reward_value_local(m: TiMmdpInstance, rf: RewardFunction,

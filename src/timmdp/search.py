@@ -30,13 +30,11 @@ from .crg import (
 from .model import (
     JointAction,
     JointState,
+    Policy,
     TiMmdpInstance,
+    TimeBudgetExceeded,
     enumerate_successors,
 )
-
-
-class TimeBudgetExceeded(Exception):
-    pass
 
 
 class IncompleteSolveError(Exception):
@@ -70,25 +68,6 @@ class SearchStats:
             "max_component_size": self.max_component_size,
             "memo_hits": self.memo_hits,
         }
-
-
-@dataclass
-class Policy:
-    """Joint decisions, assembled from per-component argmax choices.
-
-    ``entries`` maps (stage, joint state) to the full joint action and is
-    closed under its own reachable states from the initial one.
-    """
-
-    n_agents: int
-    entries: dict[tuple[int, JointState], JointAction]
-
-    def action(self, t: int, s: JointState) -> JointAction:
-        try:
-            return self.entries[(t, tuple(s))]
-        except KeyError:
-            raise KeyError(f"policy undefined at stage {t}, state {tuple(s)}") \
-                from None
 
 
 @dataclass

@@ -1,5 +1,11 @@
-import pytest
+import ast
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import timmdp
 from timmdp.baselines import (
     StateSpaceBudgetExceeded,
     best_open_loop_value,
@@ -12,12 +18,18 @@ from timmdp.model import (
     LocalAction,
     LocalMdp,
     LocalState,
+    Policy,
     RewardFunction,
     TiMmdpInstance,
 )
-from timmdp.search import Policy, core_solve
+from timmdp.search import core_solve
 
-from util import policy_value_by_induction, random_instance
+from util import (
+    naive_dp,
+    policy_value_by_induction,
+    random_instance,
+    with_interaction_default,
+)
 from timmdp.rng import SplitMix64
 
 
@@ -59,12 +71,75 @@ class TestDpSolve:
         with pytest.raises(StateSpaceBudgetExceeded):
             dp_solve(m, max_states=2)
 
+    def test_state_budget_counts_every_reachable_state(self):
+        m = random_instance(1, n_agents=3, horizon=4)
+        states = dp_solve(m).stats["states"]
+        assert dp_solve(m, max_states=states).stats["states"] == states
+        with pytest.raises(StateSpaceBudgetExceeded):
+            dp_solve(m, max_states=states - 1)
+
     def test_terminal_values_are_zero(self):
         m = random_instance(3)
         result = dp_solve(m)
         for (t, s), v in result.values.items():
             if t == m.horizon:
                 assert v == 0.0
+
+
+class TestDpAgainstNaiveInduction:
+    """``dp_solve`` prices each function once per scope-local (state,
+    action); ``naive_dp`` prices every joint successor with
+    ``total_reward``. Both must give the same table, counters and policy
+    value."""
+
+    @staticmethod
+    def _check(m):
+        dp, ref = dp_solve(m), naive_dp(m)
+        assert dp.values.keys() == ref.values.keys()
+        for key, v in ref.values.items():
+            assert abs(dp.values[key] - v) <= 1e-9, key
+        assert dp.stats == ref.stats
+        assert abs(evaluate_policy(m, dp.policy) - dp.value) <= 1e-9
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 3),
+           horizon=st.integers(1, 3), n_interactions=st.integers(1, 2),
+           feature_scoped=st.booleans(),
+           default=st.sampled_from((0.0, -2.5, 1.75)),
+           shift=st.sampled_from((0.0, -1.0, 3.0)))
+    def test_matches_naive_induction_on_random_draws(
+            self, seed, n_agents, horizon, n_interactions, feature_scoped,
+            default, shift):
+        three = n_agents == 3
+        m = random_instance(seed, n_agents=n_agents, horizon=horizon,
+                            max_states=3 if three else 4,
+                            max_actions=2 if three else 3,
+                            n_interactions=n_interactions if n_agents > 1
+                            else 0,
+                            feature_scoped=feature_scoped)
+        self._check(with_interaction_default(m, default, shift))
+
+    def test_matches_naive_induction_on_a_pyramid(self):
+        from timmdp.domains import compile_mpp, gen_pyra
+
+        self._check(compile_mpp(gen_pyra(4, 3, seed=3)))
+
+
+def test_oracle_modules_do_not_import_the_search():
+    """dp and the model it reads stay independent of the graph search."""
+    src = Path(timmdp.__file__).parent
+    for name in ("baselines.py", "model.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    imported.add(node.module.split(".")[-1])
+                if node.level or node.module == "timmdp":
+                    imported.update(alias.name for alias in node.names)
+        assert not imported & {"crg", "search"}, (name, imported)
 
 
 class TestEvaluatePolicy:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from timmdp import cli
 from timmdp.cli import run_cli
 from timmdp.crg import build_crgs
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
@@ -69,6 +70,19 @@ class TestSolve:
         capsys.readouterr()
         lines = stats.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("example,core,solved")
+
+
+class TestParserReuse:
+    def test_usage_error_then_valid_solve(self, tmp_path, capsys):
+        path = _write_example(tmp_path)
+        parser = cli._parser()
+        assert run_cli(["solve", "--algorithm", "nope",
+                        "--instance", str(path)]) == 2
+        capsys.readouterr()
+        assert run_cli(["solve", "--algorithm", "dp",
+                        "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == "value 19\n"
+        assert cli._parser() is parser
 
 
 class TestMemoFlag:

@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,12 +13,15 @@ from timmdp.model import (
     TiMmdpInstance,
     enumerate_successors,
     joint_transition_probability,
+    reward_key,
     reward_value,
     sequence_return,
     total_reward,
     validate_instance,
 )
-from timmdp.domains import example_two_agent
+from timmdp.crg import InstanceIndex
+from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
+from timmdp.formats import write_instance
 
 from util import random_execution_sequence, random_instance
 from timmdp.rng import SplitMix64
@@ -141,6 +146,45 @@ class TestTotalReward:
                 direct = math.fsum(reward_value(m, rf, s, a, s2)
                                    for rf in m.rewards)
                 assert total_reward(m, s, a, s2) == direct
+
+
+class TestProjections:
+    def test_reward_key_reads_the_compiled_tables(self):
+        m = compile_mpp(gen_pyra(4, 2, seed=2))
+        index = InstanceIndex(m)
+        for rf in m.rewards:
+            for j in rf.scope:
+                feats = rf.features_read(j)
+                table = m.projection(j, feats)
+                assert table is m.projection(j, feats)
+                assert index.projection(j, feats) is table
+        for t, s, a, s2, _ in _some_transitions(m, 40):
+            for rf in m.rewards:
+                parts = []
+                for comp in (s, s2):
+                    part = []
+                    for j in rf.scope:
+                        feats = rf.features_read(j)
+                        st = m.locals[j].states[comp[j]]
+                        part.append(comp[j] if feats is None else
+                                    tuple(st.features[f] for f in feats))
+                    parts.append(tuple(part))
+                states = [s[j] for j in rf.scope]
+                actions = [a[j] for j in rf.scope]
+                nexts = [s2[j] for j in rf.scope]
+                assert reward_key(m, rf, states, actions, nexts) == (
+                    parts[0], tuple(actions), parts[1])
+
+    def test_cache_stays_out_of_equality_repr_and_bytes(self):
+        m = random_instance(6, feature_scoped=True)
+        twin = copy.deepcopy(m)
+        text, shown = write_instance(m), repr(m)
+        for _, s, a, s2, _ in _some_transitions(m, 40):
+            total_reward(m, s, a, s2)
+        assert m._projections
+        assert m == twin and repr(m) == shown
+        assert write_instance(m) == text
+        assert replace(m)._projections == {}
 
 
 class TestSequenceReturn:

@@ -13,12 +13,14 @@ import math
 from dataclasses import replace
 from itertools import product
 
+from timmdp.baselines import DpResult
 from timmdp.crg import cover_mask
 from timmdp.model import (
     ExecutionSequence,
     LocalAction,
     LocalMdp,
     LocalState,
+    Policy,
     RewardFunction,
     TiMmdpInstance,
     enumerate_successors,
@@ -391,6 +393,42 @@ def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
         steps.extend([a, s2])
         s = s2
     return ExecutionSequence(steps=tuple(steps))
+
+
+def naive_dp(m: TiMmdpInstance) -> DpResult:
+    """Backward induction over the reachable joint states that prices every
+    joint successor with the per-transition ``total_reward``: the plain
+    definition ``dp_solve``'s expected-reward decomposition must match."""
+    layers = [{tuple(m.initial)}]
+    for t in range(m.horizon):
+        nxt = set()
+        for s in layers[t]:
+            for a in m.joint_actions(s):
+                for s2, _ in enumerate_successors(m, s, a):
+                    nxt.add(s2)
+        layers.append(nxt)
+
+    values = {(m.horizon, s): 0.0 for s in layers[m.horizon]}
+    entries = {}
+    expanded = 0
+    for t in range(m.horizon - 1, -1, -1):
+        for s in layers[t]:
+            best, best_a = None, None
+            for a in sorted(m.joint_actions(s)):
+                expanded += 1
+                q = math.fsum(
+                    p * (total_reward(m, s, a, s2) + values[(t + 1, s2)])
+                    for s2, p in enumerate_successors(m, s, a))
+                if best is None or q > best:
+                    best, best_a = q, a
+            values[(t, s)] = best if best is not None else 0.0
+            if best_a is not None:
+                entries[(t, s)] = best_a
+    stats = {"joint_actions_evaluated": expanded,
+             "states": sum(len(layer) for layer in layers)}
+    return DpResult(value=values[(0, tuple(m.initial))], values=values,
+                    policy=Policy(n_agents=m.n_agents, entries=entries),
+                    stats=stats)
 
 
 # ---------------------------------------------------------------------------
