@@ -21,8 +21,6 @@ from .crg import (
     SizeAudit,
     build_crg,
     build_crgs,
-    dependent_actions,
-    influence_set,
     partition_rewards,
     size_audit,
 )
@@ -65,7 +63,6 @@ from .search import (
     SolveReport,
     core_solve,
     crg_ps_solve,
-    extract_policy,
 )
 
 __version__ = "0.1.0"

@@ -3,21 +3,24 @@
 Each agent owns a disjoint share of the reward functions. Its graph is a
 layered DAG over its reachable local states; every local transition carries a
 small tree that discriminates exactly those actions and state moves of other
-agents that can change the assigned rewards. Everything else is grouped
-behind an "any other action" wildcard arc and an "any other state pair"
-no-influence arc, both of which pin the interaction contribution to zero.
-Leaf arcs enter the next layer labeled with the fully resolved reward, which
-is what makes recursive return bounds and reward lookups cheap during search.
+agents that can change the assigned rewards: their dependent actions and
+influential state pairs, which ``transition_influence`` finds in one pass over
+the matching table entries. Everything else is grouped behind an "any other
+action" wildcard arc and an "any other state pair" no-influence arc, both of
+which pin the interaction contribution to zero. Each leaf arc is priced
+through one completion per other agent, the first available transition that
+takes that agent's labels on the path, and enters the next layer labeled
+with the fully resolved reward, which is what makes recursive return bounds
+and reward lookups cheap during search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
-    RewardFunction,
     TiMmdpInstance,
     reachable_local_states,
     reward_value_local,
@@ -45,12 +48,6 @@ class RewardPartition:
 
     def functions(self, agent: int) -> list[int]:
         return self.assignment.get(agent, [])
-
-    def owner(self, fn_index: int) -> int:
-        for agent, fns in self.assignment.items():
-            if fn_index in fns:
-                return agent
-        raise KeyError(fn_index)
 
 
 def partition_rewards(m: TiMmdpInstance,
@@ -104,8 +101,10 @@ def partition_rewards(m: TiMmdpInstance,
 
 
 class InstanceIndex:
-    """Caches of stage reachability, availability, state projections and
-    reward-entry matching."""
+    """Caches of stage reachability, availability, the source states that
+    realize each table entry's slices, and interaction deadness. State
+    projections are compiled on the instance (``TiMmdpInstance.projection``).
+    """
 
     def __init__(self, m: TiMmdpInstance):
         self.m = m
@@ -133,18 +132,6 @@ class InstanceIndex:
                 self.m, agent, start=state, from_stage=stage)
         return self._reach_from[key]
 
-    def projection(self, agent: int, feats: tuple[str, ...] | None) -> tuple:
-        """The instance's own compiled table, ``TiMmdpInstance.projection``."""
-        return self.m.projection(agent, feats)
-
-    def part_matches(self, rf: RewardFunction, agent: int,
-                     tr: LocalTransition, part: tuple) -> bool:
-        sp, ap, np_ = part
-        if tr[1] != ap:
-            return False
-        proj = self.projection(agent, rf.features_read(agent))
-        return proj[tr[0]] == sp and proj[tr[2]] == np_
-
     def entry_sources(self, rf_index: int, key: tuple) -> tuple[frozenset, ...]:
         """Per scope position, source states of available transitions matching
         the entry's slice of this table key."""
@@ -155,10 +142,11 @@ class InstanceIndex:
         states, actions, nexts = key
         out = []
         for pos, agent in enumerate(rf.scope):
-            part = (states[pos], actions[pos], nexts[pos])
+            proj = self.m.projection(agent, rf.features_read(agent))
             out.append(frozenset(
-                tr[0] for tr in self.available[agent]
-                if self.part_matches(rf, agent, tr, part)))
+                s for s, a, dst in self.available[agent]
+                if a == actions[pos] and proj[s] == states[pos]
+                and proj[dst] == nexts[pos]))
         result = tuple(out)
         self._entry_sources[cache_key] = result
         return result
@@ -212,112 +200,72 @@ class InstanceIndex:
 # Dependent actions and transition influence
 
 
-def _matching_owner_entries(index: InstanceIndex, fns: Sequence[int],
-                            owner: int, tr_i: LocalTransition,
-                            ) -> Iterator[tuple[int, tuple, float]]:
-    """Nonzero-beyond-default table entries whose owner slice matches tr_i
-    and whose every slice is realizable by some available transition."""
+def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
+                         tr_i: LocalTransition,
+                         ) -> dict[int, tuple[set[int], dict[int, set]]]:
+    """What each other agent j can change of the rewards in ``fns`` when the
+    owner performs tr_i: j's dependent actions, and per action of j the
+    state pairs of j that influence some reward.
+
+    One pass decides every table entry whose owner slice matches tr_i, whose
+    value differs from its function's default and whose every slice is
+    realizable by some available transition. For each other agent j in the
+    entry's scope:
+
+    - j's action there is dependent when some other action of j, put into
+      j's slice, produces a different value. Actions of j that no entry
+      makes dependent provably cannot move any assigned reward.
+    - the entry is influential when some pair of j's projected states, drawn
+      from the distinct projections of j's states, changes the value when
+      put into j's slice. An influential entry contributes every available
+      pair (s, s') of j under the entry's action that matches its slice; any
+      other entry contributes none.
+
+    Agents that no such entry reads are left out of the result.
+    """
     m = index.m
+    result: dict[int, tuple[set[int], dict[int, set]]] = {}
+    s_i, a_i, n_i = tr_i
     for k in fns:
         rf = m.rewards[k]
         if owner not in rf.scope or not rf.is_interaction:
             continue
         pos_own = rf.scope.index(owner)
+        proj_own = m.projection(owner, rf.features_read(owner))
+        own_part = (proj_own[s_i], a_i, proj_own[n_i])
+        others = []
+        for pos, j in enumerate(rf.scope):
+            if j != owner:
+                proj = m.projection(j, rf.features_read(j))
+                others.append((pos, j, proj, set(proj)))
         for key, value in rf.table.items():
-            if value == rf.default:
-                continue
             states, actions, nexts = key
-            part = (states[pos_own], actions[pos_own], nexts[pos_own])
-            if not index.part_matches(rf, owner, tr_i, part):
+            if (value == rf.default
+                    or (states[pos_own], actions[pos_own], nexts[pos_own])
+                    != own_part
+                    or not all(index.entry_sources(k, key))):
                 continue
-            if any(not src for src in index.entry_sources(k, key)):
-                continue
-            yield k, key, value
-
-
-def dependent_actions(m: TiMmdpInstance, partition_i: Sequence[int],
-                      owner: int, tr_i: LocalTransition, j: int,
-                      index: InstanceIndex | None = None) -> set[int]:
-    """Actions of agent j that can change some reward assigned here, given
-    the owner performs tr_i.
-
-    An action qualifies when it appears in an available joint transition
-    containing tr_i whose reward differs from the function's default, and
-    some other action of j would produce a different value there. Actions
-    outside the set provably cannot move any assigned reward.
-    """
-    index = index or InstanceIndex(m)
-    deps: set[int] = set()
-    n_actions = len(m.locals[j].actions)
-    for k, key, value in _matching_owner_entries(index, partition_i, owner, tr_i):
-        rf = m.rewards[k]
-        if j not in rf.scope:
-            continue
-        pos_j = rf.scope.index(j)
-        a_j = key[1][pos_j]
-        if a_j in deps:
-            continue
-        for b in range(n_actions):
-            if b == a_j:
-                continue
-            swapped = (key[0],
-                       key[1][:pos_j] + (b,) + key[1][pos_j + 1:],
-                       key[2])
-            if rf.table.get(swapped, rf.default) != value:
-                deps.add(a_j)
-                break
-    return deps
-
-
-def influence_set(m: TiMmdpInstance, partition_i: Sequence[int],
-                  owner: int, tr_i: LocalTransition,
-                  j: int, action: int | str,
-                  index: InstanceIndex | None = None,
-                  ) -> set[tuple[int, int]]:
-    """State pairs of agent j that can change some assigned reward when the
-    owner performs tr_i and j plays ``action`` (or any non-dependent action
-    for the wildcard).
-
-    Each table entry matching tr_i, differing from the default and
-    realizable by available transitions in every slice is decided once: it
-    is influential when some pair of j's projected states, drawn from the
-    distinct projections of j's states, changes the value when put into
-    j's slice. An influential entry contributes every available pair of j
-    under ``action`` that matches its slice; any other entry contributes
-    none.
-    """
-    index = index or InstanceIndex(m)
-    if action == WILDCARD:
-        deps = dependent_actions(m, partition_i, owner, tr_i, j, index)
-        pairs: set[tuple[int, int]] = set()
-        for a in range(len(m.locals[j].actions)):
-            if a not in deps:
-                pairs |= influence_set(m, partition_i, owner, tr_i, j, a, index)
-        return pairs
-
-    pairs = set()
-    for k, key, value in _matching_owner_entries(index, partition_i, owner, tr_i):
-        rf = m.rewards[k]
-        if j not in rf.scope:
-            continue
-        pos_j = rf.scope.index(j)
-        if key[1][pos_j] != action:
-            continue
-        part = (key[0][pos_j], action, key[2][pos_j])
-        concrete = {
-            (s, dst) for (s, dst) in index.by_action[j].get(action, [])
-            if index.part_matches(rf, j, (s, action, dst), part)}
-        if concrete <= pairs:
-            continue
-        projected = set(index.projection(j, rf.features_read(j)))
-        states, actions, nexts = key
-        if any(rf.table.get((states[:pos_j] + (sp2,) + states[pos_j + 1:],
-                             actions,
-                             nexts[:pos_j] + (np2,) + nexts[pos_j + 1:]),
-                            rf.default) != value
-               for sp2 in projected for np2 in projected):
-            pairs |= concrete
-    return pairs
+            for pos, j, proj, distinct in others:
+                deps, pairs = result.setdefault(j, (set(), {}))
+                a_j = actions[pos]
+                if a_j not in deps and any(
+                        rf.table.get((states,
+                                      actions[:pos] + (b,) + actions[pos + 1:],
+                                      nexts), rf.default) != value
+                        for b in range(len(m.locals[j].actions)) if b != a_j):
+                    deps.add(a_j)
+                known = pairs.setdefault(a_j, set())
+                concrete = {(s, dst) for s, dst in index.by_action[j][a_j]
+                            if proj[s] == states[pos] and proj[dst] == nexts[pos]}
+                if concrete <= known:
+                    continue
+                if any(rf.table.get((states[:pos] + (sp,) + states[pos + 1:],
+                                     actions,
+                                     nexts[:pos] + (np_,) + nexts[pos + 1:]),
+                                    rf.default) != value
+                       for sp in distinct for np_ in distinct):
+                    known |= concrete
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -397,145 +345,86 @@ class ConditionalReturnGraph:
         return self.trees[(s, a, s_next)]
 
 
-def _resolve_with_completion(index: InstanceIndex, g_functions: Sequence[int],
-                             owner: int, tr_i: LocalTransition,
-                             tree_meta: dict, labels: tuple,
-                             skeleton: tuple) -> tuple[tuple[float, ...], bool]:
-    """Per-function values along one label path, via an arbitrary available
-    completion consistent with the path. Returns (values, realizable)."""
-    m = index.m
-    act_of: dict[int, object] = {}
-    pair_of: dict[int, object] = {}
-    for (kind, agent), label in zip(skeleton, labels):
-        if kind == "act":
-            act_of[agent] = label
-        else:
-            pair_of[agent] = label
-
-    completions: dict[int, LocalTransition] = {}
-    for agent in tree_meta["others"]:
-        a_lab = act_of.get(agent, WILDCARD)
-        p_lab = pair_of.get(agent, NO_INFLUENCE)
-        deps = tree_meta["deps"].get(agent, frozenset())
-        proj = tree_meta["projections"][agent]
-        if a_lab == WILDCARD:
-            candidates = [tr for tr in index.available[agent] if tr[1] not in deps]
-        else:
-            candidates = [tr for tr in index.available[agent] if tr[1] == a_lab]
-        known = tree_meta["inf_labels"].get((agent, a_lab), ())
-        chosen = None
-        for tr in candidates:
-            pair = (proj[tr[0]], proj[tr[2]])
-            if p_lab == NO_INFLUENCE:
-                if pair not in known:
-                    chosen = tr
-                    break
-            elif pair == p_lab:
-                chosen = tr
-                break
-        if chosen is None:
-            return (), False
-        completions[agent] = chosen
-
-    values = []
-    for k in g_functions:
-        rf = m.rewards[k]
-        states, actions, nexts = [], [], []
-        for agent in rf.scope:
-            tr = tr_i if agent == owner else completions[agent]
-            states.append(tr[0])
-            actions.append(tr[1])
-            nexts.append(tr[2])
-        values.append(reward_value_local(m, rf, states, actions, nexts))
-    return tuple(values), True
-
-
 def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
                 fns: Sequence[int], tr_i: LocalTransition,
                 scope_others: Sequence[int],
                 projections: dict[int, tuple]) -> TransitionTree:
+    influence = transition_influence(index, fns, owner, tr_i)
     deps: dict[int, frozenset[int]] = {}
     act_labels: dict[int, tuple] = {}
     inf_labels: dict[tuple[int, object], tuple] = {}
-    has_bot: dict[tuple[int, object], bool] = {}
-
-    def project_pairs(agent: int, pairs: set[tuple[int, int]]) -> set:
-        proj = projections[agent]
-        return {(proj[s], proj[n]) for s, n in pairs}
-
-    def positive_pairs(agent: int, actions: Sequence[int]) -> set:
-        pairs = set()
-        for a in actions:
-            pairs.update(index.by_action[agent].get(a, []))
-        return project_pairs(agent, pairs)
-
     for j in scope_others:
-        dep_j = frozenset(dependent_actions(m, fns, owner, tr_i, j, index))
-        deps[j] = dep_j
-        n_actions = len(m.locals[j].actions)
-        nondep = [a for a in range(n_actions) if a not in dep_j]
-        nondep_live = [a for a in nondep if index.by_action[j].get(a)]
-        labels: list = sorted(dep_j)
-        if dep_j and nondep_live:
-            labels.append(WILDCARD)
+        dep_j, pairs_j = influence.get(j, (set(), {}))
+        deps[j] = frozenset(dep_j)
+        nondep_live = [a for a in range(len(m.locals[j].actions))
+                       if a not in dep_j and a in index.by_action[j]]
         if dep_j:
-            act_labels[j] = tuple(labels)
-        # Influence label sets, per action context actually present.
-        contexts: list = list(sorted(dep_j))
+            act_labels[j] = tuple(sorted(dep_j)) + (
+                (WILDCARD,) if nondep_live else ())
+        # Influence labels per action context actually present; the wildcard
+        # context stands for every live non-dependent action.
+        contexts: dict[object, list[int]] = {a: [a] for a in sorted(dep_j)}
         if not dep_j or nondep_live:
-            contexts.append(WILDCARD)
-        for ctx in contexts:
-            raw = influence_set(m, fns, owner, tr_i, j, ctx, index)
-            lab = project_pairs(j, raw)
-            acts = nondep_live if ctx == WILDCARD else [ctx]
-            uncovered = positive_pairs(j, acts) - lab
-            inf_labels[(j, ctx)] = tuple(sorted(lab, key=repr))
-            has_bot[(j, ctx)] = bool(uncovered)
+            contexts[WILDCARD] = nondep_live
+        proj = projections[j]
+        for ctx, acts in contexts.items():
+            labels = {(proj[s], proj[dst])
+                      for a in acts for s, dst in pairs_j.get(a, ())}
+            inf_labels[(j, ctx)] = tuple(sorted(labels, key=repr))
 
-    skeleton: list[tuple[str, int]] = []
-    for j in scope_others:
-        if deps[j]:
-            skeleton.append(("act", j))
-    for j in scope_others:
-        if deps[j] or inf_labels.get((j, WILDCARD)):
-            skeleton.append(("inf", j))
-    skeleton_t = tuple(skeleton)
+    act_agents = [j for j in scope_others if deps[j]]
+    inf_agents = [j for j in scope_others
+                  if deps[j] or inf_labels.get((j, WILDCARD))]
+    skeleton = (tuple(("act", j) for j in act_agents)
+                + tuple(("inf", j) for j in inf_agents))
 
-    meta = {"others": list(scope_others), "deps": deps,
-            "inf_labels": inf_labels, "projections": projections}
+    # Each other agent's completion per (action label, influence label): its
+    # first available transition taking that label pair.
+    completion: dict[int, dict[tuple, LocalTransition]] = {}
+    for j in scope_others:
+        proj = projections[j]
+        first = completion[j] = {}
+        for tr in index.available[j]:
+            act = tr[1] if tr[1] in deps[j] else WILDCARD
+            pair = (proj[tr[0]], proj[tr[2]])
+            if pair not in inf_labels[(j, act)]:
+                pair = NO_INFLUENCE
+            first.setdefault((act, pair), tr)
 
     # Enumerate label combinations level by level.
     paths: list[tuple] = [()]
-    act_agents = [j for kind, j in skeleton_t if kind == "act"]
     for j in act_agents:
         paths = [p + (lab,) for p in paths for lab in act_labels[j]]
-    inf_agents = [j for kind, j in skeleton_t if kind == "inf"]
-    pos = {a: idx for idx, a in enumerate(act_agents)}
+    pos = {j: idx for idx, j in enumerate(act_agents)}
     for j in inf_agents:
         new_paths = []
         for p in paths:
             ctx = p[pos[j]] if j in pos else WILDCARD
-            options: list = list(inf_labels[(j, ctx)])
-            if has_bot[(j, ctx)]:
-                options.append(NO_INFLUENCE)
+            options = inf_labels[(j, ctx)]
+            if (ctx, NO_INFLUENCE) in completion[j]:
+                options += (NO_INFLUENCE,)
             new_paths.extend(p + (lab,) for lab in options)
         paths = new_paths
 
     arcs: dict[tuple, CrgArc] = {}
     interactions = {k for k in fns if m.rewards[k].is_interaction}
     for labels in paths:
-        values, ok = _resolve_with_completion(
-            index, fns, owner, tr_i, meta, labels, skeleton_t)
-        if not ok:
-            continue
+        acts = dict(zip(act_agents, labels))
+        pairs = dict(zip(inf_agents, labels[len(act_agents):]))
+        trs = {j: completion[j][(acts.get(j, WILDCARD),
+                                 pairs.get(j, NO_INFLUENCE))]
+               for j in scope_others}
+        trs[owner] = tr_i
+        values = tuple(
+            reward_value_local(m, m.rewards[k],
+                               *zip(*(trs[q] for q in m.rewards[k].scope)))
+            for k in fns)
         nonzero = frozenset(
             k for k, v in zip(fns, values) if v != 0.0 and k in interactions)
         arcs[labels] = CrgArc(target=tr_i[2], labels=labels,
                               components=values, reward=math.fsum(values),
                               nonzero_interactions=nonzero)
-    if not arcs:
-        raise CrgError(f"transition {tr_i} of agent {owner} produced no arcs")
-    return TransitionTree(transition=tr_i, skeleton=skeleton_t,
+    return TransitionTree(transition=tr_i, skeleton=skeleton,
                           act_labels=act_labels, deps=deps,
                           inf_labels=inf_labels, arcs=arcs)
 
@@ -605,7 +494,7 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             feature_level[j] = tuple(merged)
         else:
             feature_level[j] = None
-    projections = {j: index.projection(j, feature_level[j]) for j in others}
+    projections = {j: m.projection(j, feature_level[j]) for j in others}
 
     # Interaction functions anywhere in the instance that involve the owner
     # drive the independence flag (not only the assigned ones).

@@ -37,10 +37,6 @@ from .model import (
 )
 
 
-class IncompleteSolveError(Exception):
-    pass
-
-
 @dataclass
 class SearchConfig:
     pruning: bool = True          # False gives the plain graph-backed search
@@ -81,8 +77,6 @@ class SolveReport:
     # (t, component, component states) -> (value, decision), one entry per
     # distinct component solved
     trace: dict | None = None
-    instance: TiMmdpInstance | None = None
-    crgs: Mapping[int, ConditionalReturnGraph] | None = None
 
 
 def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
@@ -226,15 +220,40 @@ class _Search:
         self.table[(t, agents, states)] = (value, best_action)
         return value
 
+    def policy(self) -> Policy:
+        """Compose the recorded per-component argmax decisions into a joint
+        policy defined on every state it can reach from the start."""
+        m = self.m
+        entries: dict[tuple[int, JointState], JointAction] = {}
+        stack = [(0, tuple(m.initial))]
+        seen = set()
+        while stack:
+            t, s = stack.pop()
+            if t >= m.horizon or (t, s) in seen:
+                continue
+            seen.add((t, s))
+            state_of = dict(zip(m.agents, s))
+            action = [None] * m.n_agents
+            for comp in components(self.crgs, t, m.agents, state_of):
+                comp_states = tuple(state_of[i] for i in comp)
+                _, decision = self.table[(t, comp, comp_states)]
+                for i, a in zip(comp, decision):
+                    action[i] = a
+            joint = tuple(action)
+            entries[(t, s)] = joint
+            for nxt, _ in enumerate_successors(m, s, joint):
+                stack.append((t + 1, nxt))
+        return Policy(n_agents=m.n_agents, entries=entries)
+
 
 def core_solve(m: TiMmdpInstance,
                crgs: Mapping[int, ConditionalReturnGraph],
                cfg: SearchConfig | None = None) -> SolveReport:
     """Solve the instance exactly; see the module docstring for the walk.
 
-    Returns the optimal joint value, the extracted policy and search
-    statistics. On a blown time budget the report carries no value and is
-    flagged ``timeout``.
+    Returns the optimal joint value, the policy composed from the recorded
+    component decisions and search statistics. On a blown time budget the
+    report carries no value and no policy and is flagged ``timeout``.
     """
     cfg = cfg or SearchConfig()
     search = _Search(m, crgs, cfg)
@@ -247,12 +266,10 @@ def core_solve(m: TiMmdpInstance,
         value, status = None, "timeout"
     wall = time.perf_counter() - start
     algorithm = "core" if cfg.pruning else "crg-ps"
-    report = SolveReport(value=value, policy=None, stats=search.stats,
-                         wall_time=wall, status=status, algorithm=algorithm,
-                         trace=search.table, instance=m, crgs=crgs)
-    if status == "solved":
-        report.policy = extract_policy(report)
-    return report
+    policy = search.policy() if status == "solved" else None
+    return SolveReport(value=value, policy=policy, stats=search.stats,
+                       wall_time=wall, status=status, algorithm=algorithm,
+                       trace=search.table)
 
 
 def crg_ps_solve(m: TiMmdpInstance,
@@ -260,32 +277,3 @@ def crg_ps_solve(m: TiMmdpInstance,
                  cfg: SearchConfig | None = None) -> SolveReport:
     """The same search with bound pruning switched off."""
     return core_solve(m, crgs, replace(cfg or SearchConfig(), pruning=False))
-
-
-def extract_policy(report: SolveReport) -> Policy:
-    """Compose the recorded per-component argmax decisions into a joint
-    policy defined on every state it can reach from the start."""
-    if report.status != "solved" or report.trace is None:
-        raise IncompleteSolveError("cannot extract a policy from an "
-                                   "incomplete solve")
-    m = report.instance
-    entries: dict[tuple[int, JointState], JointAction] = {}
-    stack = [(0, tuple(m.initial))]
-    seen = set()
-    while stack:
-        t, s = stack.pop()
-        if t >= m.horizon or (t, s) in seen:
-            continue
-        seen.add((t, s))
-        state_of = dict(zip(m.agents, s))
-        action = [None] * m.n_agents
-        for comp in components(report.crgs, t, m.agents, state_of):
-            comp_states = tuple(state_of[i] for i in comp)
-            _, decision = report.trace[(t, comp, comp_states)]
-            for i, a in zip(comp, decision):
-                action[i] = a
-        joint = tuple(action)
-        entries[(t, s)] = joint
-        for nxt, _ in enumerate_successors(m, s, joint):
-            stack.append((t + 1, nxt))
-    return Policy(n_agents=m.n_agents, entries=entries)

@@ -15,9 +15,7 @@ from timmdp.baselines import (
     dp_solve,
 )
 from timmdp.crg import (
-    InstanceIndex,
     build_crgs,
-    dependent_actions,
     partition_rewards,
     resolve_arc,
     size_audit,
@@ -196,9 +194,7 @@ def test_criterion_5_wildcard_soundness_and_completeness():
     passed = 0
     for k in range(50):
         m = small_instance(k, feature_scoped=(k % 2 == 0))
-        index = InstanceIndex(m)
-        part = partition_rewards(m)
-        crgs = build_crgs(m, part)
+        crgs = build_crgs(m)
         for t, s, a, s2, _ in all_joint_transitions(m):
             context = {i: (s[i], a[i], s2[i]) for i in m.agents}
             parts = []
@@ -209,15 +205,14 @@ def test_criterion_5_wildcard_soundness_and_completeness():
                 parts.extend(arc.components)
             assert math.fsum(parts) == total_reward(m, s, a, s2), (k, t, s, a)
         for i, g in crgs.items():
-            fns = part.functions(i)
             for tr in list(g.trees)[:10]:
                 for j in (q for q in g.scope if q != i):
-                    deps = dependent_actions(m, fns, i, tr, j, index)
+                    deps = g.trees[tr].deps[j]
                     rewards = set()
                     for b in range(len(m.locals[j].actions)):
                         if b in deps:
                             continue
-                        for s_j, n_j in index.by_action[j].get(b, []):
+                        for s_j, n_j in g.index.by_action[j].get(b, []):
                             arc = resolve_arc(g, tr, {j: (s_j, b, n_j)})
                             rewards.add(arc.reward)
                     assert len(rewards) <= 1, (k, i, tr, j)

@@ -15,11 +15,10 @@ from timmdp.crg import (
     build_crg,
     build_crgs,
     cover_mask,
-    dependent_actions,
-    influence_set,
     partition_rewards,
     resolve_arc,
     size_audit,
+    transition_influence,
 )
 from timmdp.domains import example_partition, example_two_agent
 from timmdp.model import RewardFunction, total_reward
@@ -70,7 +69,7 @@ class TestPartition:
         m = example_two_agent()
         part = partition_rewards(m, example_partition())
         assert part.functions(1) == [1, 2]
-        assert part.owner(2) == 1
+        assert [i for i in m.agents if 2 in part.functions(i)] == [1]
 
     def test_fixed_assignment_rejects_out_of_scope(self):
         m = example_two_agent()
@@ -94,17 +93,21 @@ class TestPartition:
 class TestDependentActions:
     def test_no_interactions_means_no_dependence(self):
         m = random_instance(1)
+        index = InstanceIndex(m)
         local_only = [k for k, rf in enumerate(m.rewards)
                       if not rf.is_interaction]
         for tr in available_transitions(m, 0)[:5]:
-            assert dependent_actions(m, local_only, 0, tr, 1) == set()
+            assert transition_influence(index, local_only, 0, tr) == {}
 
     def test_worked_example_only_a_is_dependent(self):
         m = example_two_agent()
+        index = InstanceIndex(m)
         fns = example_partition()[1]
         for tr in [(0, 0, 1), (2, 0, 5)]:  # agent 1 playing a
-            assert dependent_actions(m, fns, 1, tr, 0) == {0}
-        assert dependent_actions(m, fns, 1, (0, 1, 2), 0) == set()
+            deps, _ = transition_influence(index, fns, 1, tr)[0]
+            assert deps == {0}
+        # agent 1 playing b matches no entry, so agent 0 moves nothing
+        assert transition_influence(index, fns, 1, (0, 1, 2)) == {}
 
     def test_matches_brute_force_on_random_instances(self):
         for seed in range(25):
@@ -114,10 +117,11 @@ class TestDependentActions:
             for i in m.agents:
                 fns = part.functions(i)
                 for tr in available_transitions(m, i):
+                    influence = transition_influence(index, fns, i, tr)
                     for j in m.agents:
                         if j == i:
                             continue
-                        got = dependent_actions(m, fns, i, tr, j, index)
+                        got, _ = influence.get(j, (set(), {}))
                         want = bf_dependent_actions(m, fns, i, tr, j)
                         assert got == want, (seed, i, tr, j)
 
@@ -125,23 +129,30 @@ class TestDependentActions:
 class TestInfluenceSet:
     def test_pure_action_interaction_has_no_influence(self):
         m = example_two_agent()
+        index = InstanceIndex(m)
         # the interaction reads nothing of agent 1's state, so from agent 0's
         # side there is no state-pair influence for agent 1
         fns = [2]
         for tr in available_transitions(m, 0):
-            for a in range(3):
-                assert influence_set(m, fns, 0, tr, 1, a) == set()
+            _, pairs = transition_influence(index, fns, 0, tr).get(
+                1, (set(), {}))
+            assert not any(pairs.values()), tr
 
     def test_worked_example_feature_pairs(self):
         m = example_two_agent()
+        index = InstanceIndex(m)
         fns = example_partition()[1]
-        got = influence_set(m, fns, 1, (0, 0, 1), 0, 0)
-        assert got == {(0, 1), (2, 4), (3, 6)}  # unset->true, unset->false
+        _, pairs = transition_influence(index, fns, 1, (0, 0, 1))[0]
+        assert pairs[0] == {(0, 1), (2, 4), (3, 6)}  # unset->true, unset->false
 
     def test_wildcard_is_union_over_nondependent(self):
         m = example_two_agent()
+        index = InstanceIndex(m)
         fns = example_partition()[1]
-        assert influence_set(m, fns, 1, (0, 0, 1), 0, WILDCARD) == set()
+        deps, pairs = transition_influence(index, fns, 1, (0, 0, 1))[0]
+        assert not any(p for a, p in pairs.items() if a not in deps)
+        g = build_crg(m, partition_rewards(m, example_partition()), 1, index)
+        assert g.tree(0, 0, 1).inf_labels[(0, WILDCARD)] == ()
 
     @settings(deadline=None)
     @given(m=small_instances())
@@ -152,20 +163,33 @@ class TestInfluenceSet:
         for i in m.agents:
             fns = [k for k, rf in enumerate(m.rewards) if i in rf.scope]
             for tr in available_transitions(m, i):
+                influence = transition_influence(index, fns, i, tr)
                 for j in m.agents:
                     if j == i:
                         continue
-                    deps = bf_dependent_actions(m, fns, i, tr, j)
-                    assert dependent_actions(m, fns, i, tr, j, index) == deps
-                    wildcard = set()
+                    deps, pairs = influence.get(j, (set(), {}))
+                    assert deps == bf_dependent_actions(m, fns, i, tr, j)
                     for a in range(len(m.locals[j].actions)):
                         want = bf_influence_set(m, fns, i, tr, j, a)
-                        got = influence_set(m, fns, i, tr, j, a, index)
-                        assert got == want, (i, tr, j, a)
-                        if a not in deps:
-                            wildcard |= want
-                    got = influence_set(m, fns, i, tr, j, WILDCARD, index)
-                    assert got == wildcard, (i, tr, j)
+                        assert pairs.get(a, set()) == want, (i, tr, j, a)
+        # Built trees over the balanced partition: their dependent actions
+        # and the wildcard context's labels, the union over j's
+        # non-dependent actions that the tree build forms.
+        part = partition_rewards(m)
+        for i, g in build_crgs(m, part).items():
+            fns = part.functions(i)
+            for tr, tree in g.trees.items():
+                for j in (q for q in g.scope if q != i):
+                    deps = bf_dependent_actions(m, fns, i, tr, j)
+                    assert tree.deps[j] == deps, (i, tr, j)
+                    proj = g.projections[j]
+                    wildcard = {
+                        (proj[s], proj[dst])
+                        for a in range(len(m.locals[j].actions))
+                        if a not in deps
+                        for s, dst in bf_influence_set(m, fns, i, tr, j, a)}
+                    got = tree.inf_labels.get((j, WILDCARD), ())
+                    assert set(got) == wildcard, (i, tr, j)
 
 
 class TestBuild:
@@ -223,23 +247,20 @@ class TestBuild:
     def test_wildcard_substitution_never_changes_leaf_reward(self):
         for seed in range(8):
             m = random_instance(seed, feature_scoped=True)
-            index = InstanceIndex(m)
-            part = partition_rewards(m)
-            crgs = build_crgs(m, part)
+            crgs = build_crgs(m)
             for i, g in crgs.items():
-                fns = part.functions(i)
+                by_action = g.index.by_action
                 for tr, tree in g.trees.items():
                     for j in (q for q in g.scope if q != i):
-                        deps = dependent_actions(m, fns, i, tr, j, index)
                         nondep = [
                             a for a in range(len(m.locals[j].actions))
-                            if a not in deps and index.by_action[j].get(a)]
-                        pairs = influence_set(m, fns, i, tr, j, WILDCARD,
-                                              index)
+                            if a not in tree.deps[j] and by_action[j].get(a)]
+                        labels = tree.inf_labels.get((j, WILDCARD), ())
+                        proj = g.projections[j]
                         rewards = set()
                         for a in nondep:
-                            for s_j, n_j in index.by_action[j][a]:
-                                if (s_j, n_j) in pairs:
+                            for s_j, n_j in by_action[j][a]:
+                                if (proj[s_j], proj[n_j]) in labels:
                                     continue
                                 ctx = {j: (s_j, a, n_j)}
                                 arc = resolve_arc(g, tr, ctx)
@@ -393,7 +414,8 @@ class TestInteractionReachable:
                 for k, rf in enumerate(m.rewards):
                     if not rf.is_interaction:
                         continue
-                    owner = part.owner(k)
+                    owner = next(i for i in m.agents
+                                 if k in part.functions(i))
                     if k not in crgs[owner].node(t, s[owner]).live_interactions:
                         not_live += 1
                         assert not bf_joint_future_fires(m, k, t, s), \

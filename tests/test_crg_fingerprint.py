@@ -124,6 +124,12 @@ CASES = {
             random_instance(seed, n_agents=2 + seed % 2, feature_scoped=True,
                             n_interactions=2), (-2.0, 3.0, 1.5)[seed]))
        for seed in range(3)},
+    # a nonzero interaction default together with three-agent functions and
+    # two-agent skeletons
+    "random-default-3scope-4": _plain(
+        lambda: with_interaction_default(
+            random_instance(4, n_agents=3, feature_scoped=True,
+                            n_interactions=3), -1.5)),
 }
 
 EXPECTED = {
@@ -147,6 +153,7 @@ EXPECTED = {
     "random-default-0": "69f05e858f6b95ce",
     "random-default-1": "4cf46ce352e1fa7b",
     "random-default-2": "46faca6e83e94506",
+    "random-default-3scope-4": "162a9423d384d280",
 }
 
 

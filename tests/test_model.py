@@ -19,7 +19,6 @@ from timmdp.model import (
     total_reward,
     validate_instance,
 )
-from timmdp.crg import InstanceIndex
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
 from timmdp.formats import write_instance
 
@@ -151,13 +150,11 @@ class TestTotalReward:
 class TestProjections:
     def test_reward_key_reads_the_compiled_tables(self):
         m = compile_mpp(gen_pyra(4, 2, seed=2))
-        index = InstanceIndex(m)
         for rf in m.rewards:
             for j in rf.scope:
                 feats = rf.features_read(j)
                 table = m.projection(j, feats)
                 assert table is m.projection(j, feats)
-                assert index.projection(j, feats) is table
         for t, s, a, s2, _ in _some_transitions(m, 40):
             for rf in m.rewards:
                 parts = []

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from timmdp.baselines import dp_solve, evaluate_policy
 from timmdp.crg import build_crgs, partition_rewards
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.search import (
-    IncompleteSolveError,
-    SearchConfig,
-    core_solve,
-    crg_ps_solve,
-    extract_policy,
-)
+from timmdp.search import SearchConfig, core_solve, crg_ps_solve
 
 from util import (
     bf_joint_future_fires,
@@ -63,8 +57,7 @@ class TestCoreSolve:
         report = core_solve(m, crgs, SearchConfig(time_budget=0.0))
         assert report.status == "timeout"
         assert report.value is None
-        with pytest.raises(IncompleteSolveError):
-            extract_policy(report)
+        assert report.policy is None
 
 
 def _restrict_to_agent(m, i):
