@@ -9,7 +9,6 @@ benchmark generators, stable file formats and a batch CLI.
 from .baselines import (
     DpResult,
     StateSpaceBudgetExceeded,
-    best_open_loop_value,
     dp_solve,
     evaluate_policy,
 )
@@ -43,7 +42,6 @@ from .formats import (
     write_results,
 )
 from .model import (
-    ExecutionSequence,
     LocalAction,
     LocalMdp,
     LocalState,
@@ -53,8 +51,6 @@ from .model import (
     TimeBudgetExceeded,
     Violation,
     enumerate_successors,
-    joint_transition_probability,
-    sequence_return,
     total_reward,
     validate_instance,
 )
@@ -62,7 +58,6 @@ from .search import (
     SearchConfig,
     SolveReport,
     core_solve,
-    crg_ps_solve,
 )
 
 __version__ = "0.1.0"

@@ -184,54 +184,3 @@ def evaluate_policy(m: TiMmdpInstance, pi: Policy) -> float:
         raise ValueError(f"sequence probabilities sum to {total_mass!r}")
     return math.fsum(terms)
 
-
-def best_open_loop_value(m: TiMmdpInstance, limit: int = 200_000) -> float:
-    """Best joint value when every agent sees only its own local state.
-
-    Enumerates each agent's deterministic local policies over its reachable
-    (stage, state) decision points, evaluates every combination jointly and
-    keeps the best - the ceiling for plans that cannot react to other
-    agents' realized outcomes. Exponential; guarded by ``limit``.
-    """
-    from .model import reachable_local_states
-
-    per_agent: list[list[dict[tuple[int, int], int]]] = []
-    for i in m.agents:
-        reach = reachable_local_states(m, i)
-        points = [(t, s) for t in range(m.horizon) for s in sorted(reach[t])]
-        options = [m.locals[i].available(s) for _, s in points]
-        count = 1
-        for opts in options:
-            count *= max(len(opts), 1)
-        if count > limit:
-            raise ValueError(f"agent {i} has {count} local policies; "
-                             f"limit is {limit}")
-        policies = []
-        for combo in product(*options):
-            policies.append(dict(zip(points, combo)))
-        per_agent.append(policies)
-
-    total = 1
-    for ps in per_agent:
-        total *= len(ps)
-    if total > limit:
-        raise ValueError(f"{total} joint policy combinations; limit is {limit}")
-
-    best = None
-    for combo in product(*per_agent):
-        cache: dict[tuple[int, JointState], float] = {}
-
-        def value(t: int, s: JointState) -> float:
-            if t == m.horizon:
-                return 0.0
-            if (t, s) not in cache:
-                a = tuple(combo[i][(t, s[i])] for i in m.agents)
-                cache[(t, s)] = math.fsum(
-                    p * (total_reward(m, s, a, s2) + value(t + 1, s2))
-                    for s2, p in enumerate_successors(m, s, a))
-            return cache[(t, s)]
-
-        v = value(0, tuple(m.initial))
-        if best is None or v > best:
-            best = v
-    return best

@@ -7,17 +7,21 @@ agents that can change the assigned rewards: their dependent actions and
 influential state pairs, which ``transition_influence`` finds in one pass over
 the matching table entries. Everything else is grouped behind an "any other
 action" wildcard arc and an "any other state pair" no-influence arc, both of
-which pin the interaction contribution to zero. Each leaf arc is priced
-through one completion per other agent, the first available transition that
-takes that agent's labels on the path, and enters the next layer labeled
-with the fully resolved reward, which is what makes recursive return bounds
-and reward lookups cheap during search.
+which pin the interaction contribution to zero. Under a tree, each available
+transition of another agent takes one class, the (action label, influence
+label) pair its action and state pair fall under, and the tree's leaf arcs
+are the product of its agents' classes. Each leaf arc is priced through one
+completion per other agent, the first available transition of its class,
+and enters the next layer labeled with the fully resolved reward, which is
+what makes recursive return bounds cheap; resolving an arc during search is
+one class lookup per tree level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 from .model import (
@@ -292,6 +296,9 @@ class TransitionTree:
     act_labels: dict[int, tuple]           # agent -> usable action labels
     deps: dict[int, frozenset[int]]
     inf_labels: dict[tuple[int, object], tuple]  # (agent, act label) -> labels
+    # skeleton agent -> its class (act label, inf label) per available
+    # transition, and under None the stand-in class of an absent agent
+    classes: dict[int, dict]
     arcs: dict[tuple, CrgArc]
 
     @property
@@ -378,43 +385,39 @@ def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
     skeleton = (tuple(("act", j) for j in act_agents)
                 + tuple(("inf", j) for j in inf_agents))
 
-    # Each other agent's completion per (action label, influence label): its
-    # first available transition taking that label pair.
+    # Agents off the skeleton have the one class (WILDCARD, NO_INFLUENCE),
+    # completed by their first available transition.
+    trs = {j: index.available[j][0] for j in scope_others}
+    trs[owner] = tr_i
+    # Each skeleton agent's class per available transition: the (action
+    # label, influence label) pair it takes. The first transition of a class
+    # is the class's completion.
+    classes: dict[int, dict] = {}
     completion: dict[int, dict[tuple, LocalTransition]] = {}
-    for j in scope_others:
+    for j in inf_agents:
         proj = projections[j]
+        of = classes[j] = {}
         first = completion[j] = {}
         for tr in index.available[j]:
             act = tr[1] if tr[1] in deps[j] else WILDCARD
             pair = (proj[tr[0]], proj[tr[2]])
             if pair not in inf_labels[(j, act)]:
                 pair = NO_INFLUENCE
+            of[tr] = (act, pair)
             first.setdefault((act, pair), tr)
+        # An agent absent from a lookup context stands in as its first
+        # available transition.
+        of[None] = of[index.available[j][0]]
 
-    # Enumerate label combinations level by level.
-    paths: list[tuple] = [()]
-    for j in act_agents:
-        paths = [p + (lab,) for p in paths for lab in act_labels[j]]
-    pos = {j: idx for idx, j in enumerate(act_agents)}
-    for j in inf_agents:
-        new_paths = []
-        for p in paths:
-            ctx = p[pos[j]] if j in pos else WILDCARD
-            options = inf_labels[(j, ctx)]
-            if (ctx, NO_INFLUENCE) in completion[j]:
-                options += (NO_INFLUENCE,)
-            new_paths.extend(p + (lab,) for lab in options)
-        paths = new_paths
-
+    # Paths are the product of the skeleton agents' classes.
     arcs: dict[tuple, CrgArc] = {}
     interactions = {k for k in fns if m.rewards[k].is_interaction}
-    for labels in paths:
-        acts = dict(zip(act_agents, labels))
-        pairs = dict(zip(inf_agents, labels[len(act_agents):]))
-        trs = {j: completion[j][(acts.get(j, WILDCARD),
-                                 pairs.get(j, NO_INFLUENCE))]
-               for j in scope_others}
-        trs[owner] = tr_i
+    for combo in product(*(completion[j] for j in inf_agents)):
+        cls = dict(zip(inf_agents, combo))
+        labels = (tuple(cls[j][0] for j in act_agents)
+                  + tuple(cls[j][1] for j in inf_agents))
+        for j in inf_agents:
+            trs[j] = completion[j][cls[j]]
         values = tuple(
             reward_value_local(m, m.rewards[k],
                                *zip(*(trs[q] for q in m.rewards[k].scope)))
@@ -426,23 +429,20 @@ def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
                               nonzero_interactions=nonzero)
     return TransitionTree(transition=tr_i, skeleton=skeleton,
                           act_labels=act_labels, deps=deps,
-                          inf_labels=inf_labels, arcs=arcs)
+                          inf_labels=inf_labels, classes=classes, arcs=arcs)
 
 
 def _local_optimal_actions(m: TiMmdpInstance, index: InstanceIndex,
                            owner: int, fns: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Backward induction over the owner's local MDP under its own local
-    reward functions only; ties go to the lowest action id."""
+    """Backward induction over the owner's reachable local states under its
+    own local reward functions only; ties go to the lowest action id."""
     local_fns = [m.rewards[k] for k in fns if not m.rewards[k].is_interaction]
     local = m.locals[owner]
-    values: dict[tuple[int, int], float] = {}
+    reach = index.stage_reach[owner]
+    values = {(m.horizon, s): 0.0 for s in reach[m.horizon]}
     choice: dict[tuple[int, int], int] = {}
-    all_states = range(len(local.states))
-    for t in range(m.horizon, -1, -1):
-        for s in all_states:
-            if t == m.horizon:
-                values[(t, s)] = 0.0
-                continue
+    for t in range(m.horizon - 1, -1, -1):
+        for s in reach[t]:
             best, best_a = None, None
             for a in local.available(s):
                 q = math.fsum(
@@ -595,46 +595,25 @@ def resolve_arc(g: ConditionalReturnGraph, tr_i: LocalTransition,
                 context: Mapping[int, LocalTransition]) -> CrgArc:
     """Descend tr_i's transition tree to the leaf arc ``context`` selects.
 
-    ``context`` maps other agents to their concurrent local transitions.
-    An agent it leaves out takes no label at its levels, and the first arc,
-    in tree order, that agrees with every resolved label is returned. Each
-    arc was priced through a completion that picks every agent's transition
-    from that agent's own labels alone, so all agreeing arcs carry the same
-    components for every function whose scope the context covers; the
-    others belong to absent agents and are dropped by ``cover_mask`` where
-    a decoupled search leaves them out.
+    ``context`` maps other agents to their concurrent local transitions, and
+    each level of the tree reads the class its agent's transition takes. An
+    agent the context leaves out takes the class of its first available
+    transition. Each arc was priced through a completion that picks every
+    agent's transition from that agent's own class alone, so the stand-in
+    changes only the components of functions that read an absent agent;
+    ``cover_mask`` drops those where a decoupled search leaves the agent out,
+    and every function whose scope the context covers gets the components
+    of any full context extending it.
     """
     tree = g.trees.get(tr_i)
     if tree is None:
         raise CrgError(f"transition {tr_i} not represented for agent {g.owner}")
-    labels: list = []
-    acts: dict[int, object] = {}
+    classes = tree.classes
+    labels = []
     for kind, agent in tree.skeleton:
-        ctx = context.get(agent)
-        if ctx is None:
-            labels.append(None)
-        elif kind == "act":
-            if ctx[1] in tree.deps[agent]:
-                acts[agent] = ctx[1]
-            elif WILDCARD in tree.act_labels[agent]:
-                acts[agent] = WILDCARD
-            else:
-                raise CrgError(
-                    f"action {ctx[1]} of agent {agent} has no arc under {tr_i}")
-            labels.append(acts[agent])
-        else:
-            known = tree.inf_labels.get((agent, acts.get(agent, WILDCARD)), ())
-            proj = g.projections[agent]
-            pair = (proj[ctx[0]], proj[ctx[2]])
-            labels.append(pair if pair in known else NO_INFLUENCE)
-    arc = tree.arcs.get(tuple(labels))
-    if arc is not None:
-        return arc
-    for key, arc in tree.arcs.items():
-        if all(lab is None or lab == k for lab, k in zip(labels, key)):
-            return arc
-    raise CrgError(f"no arc matches labels {labels} for {tr_i} "
-                   f"in agent {g.owner}'s graph")
+        act, pair = classes[agent][context.get(agent)]
+        labels.append(act if kind == "act" else pair)
+    return tree.arcs[tuple(labels)]
 
 
 def cover_mask(g: ConditionalReturnGraph,

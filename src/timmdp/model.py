@@ -81,21 +81,6 @@ class RewardFunction:
         return self.feature_scope.get(agent)
 
 
-@dataclass(frozen=True)
-class ExecutionSequence:
-    """Alternating joint states and joint actions, s_0 a_0 s_1 ... s_t."""
-
-    steps: tuple
-
-    @property
-    def t(self) -> int:
-        return len(self.steps) // 2
-
-    def transitions(self) -> Iterator[tuple[JointState, JointAction, JointState]]:
-        for x in range(self.t):
-            yield self.steps[2 * x], self.steps[2 * x + 1], self.steps[2 * x + 2]
-
-
 @dataclass
 class TiMmdpInstance:
     """A full problem: per-agent local MDPs, reward set, horizon, start state."""
@@ -204,24 +189,6 @@ def reward_value(m: TiMmdpInstance, rf: RewardFunction,
     return reward_value_local(m, rf, states, actions, nexts)
 
 
-def joint_transition_probability(m: TiMmdpInstance, s: JointState,
-                                 a: JointAction, s_next: JointState) -> float:
-    """Product of local transition probabilities; 0 if any local move is absent."""
-    if not (len(s) == len(a) == len(s_next) == m.n_agents):
-        raise ValueError("joint state/action arity does not match agent count")
-    p = 1.0
-    for i in m.agents:
-        local = 0.0
-        for nxt, q in m.locals[i].outcomes(s[i], a[i]):
-            if nxt == s_next[i]:
-                local = q
-                break
-        if local == 0.0:
-            return 0.0
-        p *= local
-    return p
-
-
 def total_reward(m: TiMmdpInstance, s: JointState, a: JointAction,
                  s_next: JointState) -> float:
     """Team reward for one joint transition: the sum over all reward functions."""
@@ -244,32 +211,6 @@ def enumerate_successors(m: TiMmdpInstance, s: JointState,
             p *= q
         result.append((tuple(nxt for nxt, _ in combo), p))
     return result
-
-
-def sequence_return(m: TiMmdpInstance,
-                    phi: ExecutionSequence) -> tuple[float, dict[int, float]]:
-    """Return of an execution sequence and its split per reward function.
-
-    The per-component map is keyed by index into ``m.rewards``. Both the
-    total and the components are exact (fsum), so the components always add
-    back to the total bit-for-bit regardless of summation order.
-    """
-    _check_sequence(m, phi)
-    per_fn: dict[int, list[float]] = {k: [] for k in range(len(m.rewards))}
-    for s, a, s_next in phi.transitions():
-        for k, rf in enumerate(m.rewards):
-            per_fn[k].append(reward_value(m, rf, s, a, s_next))
-    components = {k: math.fsum(vals) for k, vals in per_fn.items()}
-    total = math.fsum(v for vals in per_fn.values() for v in vals)
-    return total, components
-
-
-def _check_sequence(m: TiMmdpInstance, phi: ExecutionSequence) -> None:
-    if len(phi.steps) % 2 == 0 or not phi.steps:
-        raise ValueError("execution sequence must start and end with a state")
-    for s, a, s_next in phi.transitions():
-        if joint_transition_probability(m, s, a, s_next) <= 0.0:
-            raise ValueError(f"impossible step {s} {a} {s_next} in sequence")
 
 
 def reachable_local_states(m: TiMmdpInstance, agent: int,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -37,15 +37,15 @@ from .model import (
 )
 
 
+# An action is pruned when its upper bound falls this far below the best
+# lower bound, so bounds that tie up to rounding are still walked.
+TOLERANCE = 1e-9
+
+
 @dataclass
 class SearchConfig:
     pruning: bool = True          # False gives the plain graph-backed search
-    tolerance: float = 1e-9
     time_budget: float | None = None  # seconds, checked at recursion entry
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -205,7 +205,7 @@ class _Search:
         best_value, best_action = None, None
         for a in sorted(actions, key=lambda a: (-bounds[a][0], a)):
             if (self.cfg.pruning
-                    and bounds[a][0] < lower_max - self.cfg.tolerance):
+                    and bounds[a][0] < lower_max - TOLERANCE):
                 self.stats.nodes_pruned += 1
                 continue
             value = math.fsum(
@@ -271,9 +271,3 @@ def core_solve(m: TiMmdpInstance,
                        wall_time=wall, status=status, algorithm=algorithm,
                        trace=search.table)
 
-
-def crg_ps_solve(m: TiMmdpInstance,
-                 crgs: Mapping[int, ConditionalReturnGraph],
-                 cfg: SearchConfig | None = None) -> SolveReport:
-    """The same search with bound pruning switched off."""
-    return core_solve(m, crgs, replace(cfg or SearchConfig(), pruning=False))

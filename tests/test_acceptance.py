@@ -11,7 +11,6 @@ import pytest
 
 from timmdp.baselines import (
     StateSpaceBudgetExceeded,
-    best_open_loop_value,
     dp_solve,
 )
 from timmdp.crg import (
@@ -38,8 +37,13 @@ from timmdp.model import (
 from timmdp.rng import SplitMix64, stream
 from timmdp.search import SearchConfig, TimeBudgetExceeded, core_solve
 
-from util import all_joint_transitions, random_execution_sequence, \
-    random_instance
+from util import (
+    all_joint_transitions,
+    best_open_loop_value,
+    random_execution_sequence,
+    random_instance,
+    sequence_return,
+)
 
 TOL = 1e-9
 
@@ -103,8 +107,6 @@ def test_criterion_2_bound_admissibility():
 
 def test_criterion_3_return_decomposition():
     """Per-component returns of 1000 random sequences add back exactly."""
-    from timmdp.model import sequence_return
-
     rng = SplitMix64(99)
     sequences = 0
     for k in range(20):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import timmdp
 from timmdp.baselines import (
     StateSpaceBudgetExceeded,
-    best_open_loop_value,
     dp_solve,
     evaluate_policy,
 )
@@ -25,6 +24,7 @@ from timmdp.model import (
 from timmdp.search import core_solve
 
 from util import (
+    best_open_loop_value,
     naive_dp,
     policy_value_by_induction,
     random_instance,

@@ -23,6 +23,7 @@ from timmdp.crg import (
 from timmdp.domains import example_partition, example_two_agent
 from timmdp.model import RewardFunction, total_reward
 
+from test_crg_fingerprint import CASES as FINGERPRINT_CASES
 from util import (
     all_joint_transitions,
     available_transitions,
@@ -266,6 +267,53 @@ class TestBuild:
                                 arc = resolve_arc(g, tr, ctx)
                                 rewards.add(arc.reward)
                         assert len(rewards) <= 1, (seed, i, tr, j)
+
+
+class TestClassProduct:
+    @pytest.mark.parametrize("name", sorted(FINGERPRINT_CASES))
+    def test_paths_are_the_product_of_transition_classes(self, name):
+        """Every available transition of a skeleton agent takes one class,
+        read off its dependent actions and influence labels; the tree's arcs
+        are the product of those classes; and a context of that agent alone
+        resolves to an arc carrying its class at the agent's levels."""
+        from itertools import product
+
+        for i, g in FINGERPRINT_CASES[name]().items():
+            m = g.instance
+            for tr_i, tree in g.trees.items():
+                agents = [j for kind, j in tree.skeleton if kind == "inf"]
+                assert sorted(tree.classes) == agents, (name, i, tr_i)
+                per_agent = {}
+                for j in agents:
+                    proj = g.projections[j]
+                    want = {}
+                    for tr in available_transitions(m, j):
+                        act = tr[1] if tr[1] in tree.deps[j] else WILDCARD
+                        pair = (proj[tr[0]], proj[tr[2]])
+                        if pair not in tree.inf_labels[(j, act)]:
+                            pair = NO_INFLUENCE
+                        want[tr] = (act, pair)
+                    got = dict(tree.classes[j])
+                    del got[None]
+                    assert got == want, (name, i, tr_i, j)
+                    per_agent[j] = set(want.values())
+                acts = [j for kind, j in tree.skeleton if kind == "act"]
+                paths = set()
+                for combo in product(*(per_agent[j] for j in agents)):
+                    cls = dict(zip(agents, combo))
+                    paths.add(tuple(cls[j][0] for j in acts)
+                              + tuple(cls[j][1] for j in agents))
+                assert set(tree.arcs) == paths, (name, i, tr_i)
+                for j in agents:
+                    levels = [(depth, kind)
+                              for depth, (kind, q) in enumerate(tree.skeleton)
+                              if q == j]
+                    for tr in available_transitions(m, j):
+                        arc = resolve_arc(g, tr_i, {j: tr})
+                        act, pair = tree.classes[j][tr]
+                        for depth, kind in levels:
+                            assert arc.labels[depth] == (
+                                act if kind == "act" else pair), (name, tr)
 
 
 class TestPartialContext:

@@ -1,4 +1,4 @@
-from timmdp.baselines import best_open_loop_value, dp_solve
+from timmdp.baselines import dp_solve
 from timmdp.crg import build_crgs
 from timmdp.domains import (
     GeneratorParams,
@@ -13,6 +13,8 @@ from timmdp.domains import (
 from timmdp.formats import write_instance
 from timmdp.model import enumerate_successors, validate_instance
 from timmdp.search import core_solve
+
+from util import best_open_loop_value
 
 
 class TestCompileMpp:

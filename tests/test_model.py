@@ -5,24 +5,27 @@ from dataclasses import replace
 import pytest
 
 from timmdp.model import (
-    ExecutionSequence,
     LocalAction,
     LocalMdp,
     LocalState,
     RewardFunction,
     TiMmdpInstance,
     enumerate_successors,
-    joint_transition_probability,
     reward_key,
     reward_value,
-    sequence_return,
     total_reward,
     validate_instance,
 )
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
 from timmdp.formats import write_instance
 
-from util import random_execution_sequence, random_instance
+from util import (
+    ExecutionSequence,
+    joint_transition_probability,
+    random_execution_sequence,
+    random_instance,
+    sequence_return,
+)
 from timmdp.rng import SplitMix64
 
 

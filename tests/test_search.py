@@ -1,13 +1,12 @@
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timmdp.baselines import dp_solve, evaluate_policy
 from timmdp.crg import build_crgs, partition_rewards
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.search import SearchConfig, core_solve, crg_ps_solve
+from timmdp.search import SearchConfig, core_solve
 
 from util import (
     bf_joint_future_fires,
@@ -15,12 +14,6 @@ from util import (
     joint_action_bounds,
     random_instance,
 )
-
-
-class TestSearchConfig:
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SearchConfig(tolerance=0.0)
 
 
 class TestCoreSolve:
@@ -83,7 +76,7 @@ class TestPruningSafety:
                                 feature_scoped=(seed % 2 == 0))
             crgs = build_crgs(m)
             pruned = core_solve(m, crgs)
-            plain = crg_ps_solve(m, crgs)
+            plain = core_solve(m, crgs, SearchConfig(pruning=False))
             assert abs(pruned.value - plain.value) <= 1e-9, seed
             assert plain.stats.nodes_pruned == 0
             assert (pruned.stats.joint_actions_evaluated
@@ -117,7 +110,7 @@ class TestPruningSafety:
         crgs = build_crgs(m)
         dp = dp_solve(m).value
         core = core_solve(m, crgs)
-        ps = crg_ps_solve(m, crgs)
+        ps = core_solve(m, crgs, SearchConfig(pruning=False))
         for report in (core, ps):
             assert abs(report.value - dp) <= 1e-9
             assert abs(evaluate_policy(m, report.policy) - dp) <= 1e-9
@@ -140,7 +133,8 @@ class TestPruningSafety:
 
     def test_crg_ps_keeps_time_budget(self):
         m = random_instance(2, n_agents=3, horizon=4)
-        report = crg_ps_solve(m, build_crgs(m), SearchConfig(time_budget=0.0))
+        report = core_solve(m, build_crgs(m),
+                            SearchConfig(pruning=False, time_budget=0.0))
         assert report.algorithm == "crg-ps"
         assert report.status == "timeout" and report.value is None
 
@@ -162,7 +156,7 @@ class TestPruningSafety:
         m = random_instance(12, n_agents=2, horizon=3)
         crgs = build_crgs(m)
         # without pruning every successor's components are in the table
-        solved = crg_ps_solve(m, crgs).trace
+        solved = core_solve(m, crgs, SearchConfig(pruning=False)).trace
 
         def value(t, agents, states):
             state_of = dict(zip(agents, states))

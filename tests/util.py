@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random instances, brute-force oracles and
-small queries of the search and of policies.
+"""Shared test helpers: seeded random instances, brute-force oracles,
+execution sequences and the best open-loop plan, and small queries of the
+search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
@@ -10,13 +11,15 @@ search's own functions.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import Iterator
 
 from timmdp.baselines import DpResult
 from timmdp.crg import cover_mask
 from timmdp.model import (
-    ExecutionSequence,
+    JointAction,
+    JointState,
     LocalAction,
     LocalMdp,
     LocalState,
@@ -375,26 +378,6 @@ def all_joint_transitions(m: TiMmdpInstance):
         frontier = nxt
 
 
-def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
-    steps = [tuple(m.initial)]
-    s = tuple(m.initial)
-    for t in range(m.horizon):
-        actions = sorted(m.joint_actions(s))
-        a = rng.choice(actions)
-        outs = enumerate_successors(m, s, a)
-        pick = rng.uniform()
-        acc = 0.0
-        s2 = outs[-1][0]
-        for cand, p in outs:
-            acc += p
-            if pick <= acc:
-                s2 = cand
-                break
-        steps.extend([a, s2])
-        s = s2
-    return ExecutionSequence(steps=tuple(steps))
-
-
 def naive_dp(m: TiMmdpInstance) -> DpResult:
     """Backward induction over the reachable joint states that prices every
     joint successor with the per-transition ``total_reward``: the plain
@@ -429,6 +412,139 @@ def naive_dp(m: TiMmdpInstance) -> DpResult:
     return DpResult(value=values[(0, tuple(m.initial))], values=values,
                     policy=Policy(n_agents=m.n_agents, entries=entries),
                     stats=stats)
+
+
+# ---------------------------------------------------------------------------
+# Execution sequences and open-loop plans
+
+
+@dataclass(frozen=True)
+class ExecutionSequence:
+    """Alternating joint states and joint actions, s_0 a_0 s_1 ... s_t."""
+
+    steps: tuple
+
+    @property
+    def t(self) -> int:
+        return len(self.steps) // 2
+
+    def transitions(self) -> Iterator[tuple[JointState, JointAction, JointState]]:
+        for x in range(self.t):
+            yield self.steps[2 * x], self.steps[2 * x + 1], self.steps[2 * x + 2]
+
+
+def joint_transition_probability(m: TiMmdpInstance, s: JointState,
+                                 a: JointAction, s_next: JointState) -> float:
+    """Product of local transition probabilities; 0 if any local move is absent."""
+    if not (len(s) == len(a) == len(s_next) == m.n_agents):
+        raise ValueError("joint state/action arity does not match agent count")
+    p = 1.0
+    for i in m.agents:
+        local = 0.0
+        for nxt, q in m.locals[i].outcomes(s[i], a[i]):
+            if nxt == s_next[i]:
+                local = q
+                break
+        if local == 0.0:
+            return 0.0
+        p *= local
+    return p
+
+
+def sequence_return(m: TiMmdpInstance,
+                    phi: ExecutionSequence) -> tuple[float, dict[int, float]]:
+    """Return of an execution sequence and its split per reward function.
+
+    The per-component map is keyed by index into ``m.rewards``. Both the
+    total and the components are exact (fsum), so the components always add
+    back to the total bit-for-bit regardless of summation order.
+    """
+    _check_sequence(m, phi)
+    per_fn: dict[int, list[float]] = {k: [] for k in range(len(m.rewards))}
+    for s, a, s_next in phi.transitions():
+        for k, rf in enumerate(m.rewards):
+            per_fn[k].append(reward_value(m, rf, s, a, s_next))
+    components = {k: math.fsum(vals) for k, vals in per_fn.items()}
+    total = math.fsum(v for vals in per_fn.values() for v in vals)
+    return total, components
+
+
+def _check_sequence(m: TiMmdpInstance, phi: ExecutionSequence) -> None:
+    if len(phi.steps) % 2 == 0 or not phi.steps:
+        raise ValueError("execution sequence must start and end with a state")
+    for s, a, s_next in phi.transitions():
+        if joint_transition_probability(m, s, a, s_next) <= 0.0:
+            raise ValueError(f"impossible step {s} {a} {s_next} in sequence")
+
+
+def best_open_loop_value(m: TiMmdpInstance, limit: int = 200_000) -> float:
+    """Best joint value when every agent sees only its own local state.
+
+    Enumerates each agent's deterministic local policies over its reachable
+    (stage, state) decision points, evaluates every combination jointly and
+    keeps the best - the ceiling for plans that cannot react to other
+    agents' realized outcomes. Exponential; guarded by ``limit``.
+    """
+    per_agent: list[list[dict[tuple[int, int], int]]] = []
+    for i in m.agents:
+        reach = reachable_local_states(m, i)
+        points = [(t, s) for t in range(m.horizon) for s in sorted(reach[t])]
+        options = [m.locals[i].available(s) for _, s in points]
+        count = 1
+        for opts in options:
+            count *= max(len(opts), 1)
+        if count > limit:
+            raise ValueError(f"agent {i} has {count} local policies; "
+                             f"limit is {limit}")
+        policies = []
+        for combo in product(*options):
+            policies.append(dict(zip(points, combo)))
+        per_agent.append(policies)
+
+    total = 1
+    for ps in per_agent:
+        total *= len(ps)
+    if total > limit:
+        raise ValueError(f"{total} joint policy combinations; limit is {limit}")
+
+    best = None
+    for combo in product(*per_agent):
+        cache: dict[tuple[int, JointState], float] = {}
+
+        def value(t: int, s: JointState) -> float:
+            if t == m.horizon:
+                return 0.0
+            if (t, s) not in cache:
+                a = tuple(combo[i][(t, s[i])] for i in m.agents)
+                cache[(t, s)] = math.fsum(
+                    p * (total_reward(m, s, a, s2) + value(t + 1, s2))
+                    for s2, p in enumerate_successors(m, s, a))
+            return cache[(t, s)]
+
+        v = value(0, tuple(m.initial))
+        if best is None or v > best:
+            best = v
+    return best
+
+
+def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
+    steps = [tuple(m.initial)]
+    s = tuple(m.initial)
+    for t in range(m.horizon):
+        actions = sorted(m.joint_actions(s))
+        a = rng.choice(actions)
+        outs = enumerate_successors(m, s, a)
+        pick = rng.uniform()
+        acc = 0.0
+        s2 = outs[-1][0]
+        for cand, p in outs:
+            acc += p
+            if pick <= acc:
+                s2 = cand
+                break
+        steps.extend([a, s2])
+        s = s2
+    return ExecutionSequence(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
