@@ -610,9 +610,14 @@ def resolve_arc(g: ConditionalReturnGraph, tr_i: LocalTransition,
         raise CrgError(f"transition {tr_i} not represented for agent {g.owner}")
     classes = tree.classes
     labels = []
-    for kind, agent in tree.skeleton:
-        act, pair = classes[agent][context.get(agent)]
-        labels.append(act if kind == "act" else pair)
+    try:
+        for kind, agent in tree.skeleton:
+            act, pair = classes[agent][context.get(agent)]
+            labels.append(act if kind == "act" else pair)
+    except KeyError:
+        raise CrgError(
+            f"agent {agent} cannot take transition {context.get(agent)} in "
+            f"the context of agent {g.owner}'s transition {tr_i}") from None
     return tree.arcs[tuple(labels)]
 
 

@@ -1,16 +1,30 @@
 """Branch-and-bound policy search over execution sequences.
 
-The solver walks the joint search space depth first. At every node it splits
-the active agents into conditionally independent components (agents linked
-only by reward functions that can no longer fire are solved separately and
-their values added), computes probability-weighted return bounds per joint
-action from the conditional return graphs, visits actions in order of
-falling upper bound and skips any action whose upper bound drops below the
-best lower bound seen so far. Independence is read from the graphs and the
-current local states alone, so each (stage, component, component states) is
-solved once and its value and decision are reused wherever it recurs. With
-pruning disabled the same walk evaluates every available action, which
-isolates what the graph structure alone buys.
+The solver walks the joint search space depth first, one table entry per
+(stage, component, component states). A component is a set of agents still
+linked by a reward function that can fire (``components``); agents in
+different components are solved separately and their values added, so each
+entry is solved once and its value and decision are reused wherever it
+recurs.
+
+Within a component every kept joint action gets return bounds from the
+conditional return graphs. A member's share of a bound is its expected
+assigned reward, taken over the outcomes of the agents its graph reads
+inside the component only, plus the expected bound of its own next graph
+node; the reward is cached per (member, scope states, scope actions) and
+shared by every action and component state that agree on them. Actions are
+visited in order of falling upper bound and skipped once their upper bound
+drops below the best lower bound seen so far. With pruning disabled every
+action is evaluated, which isolates what the graph structure alone buys.
+
+An evaluated action is worth its members' expected rewards plus the expected
+value of the next stage. Whether a function still links its scope there
+depends on each scope member's own next state, so each member's outcomes
+fall into classes by liveness signature. One vector of classes fixes the
+next-stage partition, and under it the expected sum of component values
+splits into one sum per part over that part's own outcomes. Each part's
+states are looked up in the table or solved into it; the time budget is
+checked before each fresh solve.
 """
 
 from __future__ import annotations
@@ -19,7 +33,8 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .crg import (
     ConditionalReturnGraph,
@@ -45,16 +60,17 @@ TOLERANCE = 1e-9
 @dataclass
 class SearchConfig:
     pruning: bool = True          # False gives the plain graph-backed search
-    time_budget: float | None = None  # seconds, checked at recursion entry
+    time_budget: float | None = None  # seconds, checked before each solve
 
 
 @dataclass
 class SearchStats:
     joint_actions_evaluated: int = 0
     nodes_pruned: int = 0
+    # the root and each successor class whose next-stage partition splits
     decouple_events: int = 0
     max_component_size: int = 0
-    memo_hits: int = 0            # component solves answered from the table
+    memo_hits: int = 0            # component values answered from the table
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -90,7 +106,23 @@ def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
     partition can only refine along a branch.
     """
     agent_set = set(agents)
-    parent = {i: i for i in agents}
+    links = []
+    for i in agents:
+        g = crgs[i]
+        for k in g.nodes[(t, states[i])].live_interactions:
+            scope = g.instance.rewards[k].scope
+            if set(scope) <= agent_set and not any(
+                    g.index.interaction_dead(j, states[j], t, k)
+                    for j in scope):
+                links.append(scope)
+    return _groups(agents, links)
+
+
+def _groups(items: Sequence[int],
+            links: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Connected components of ``items`` under ``links``, each sorted, in
+    sorted order."""
+    parent = {x: x for x in items}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -98,54 +130,65 @@ def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
             x = parent[x]
         return x
 
-    for i in agents:
-        g = crgs[i]
-        for k in g.nodes[(t, states[i])].live_interactions:
-            scope = g.instance.rewards[k].scope
-            if not set(scope) <= agent_set or any(
-                    g.index.interaction_dead(j, states[j], t, k)
-                    for j in scope):
-                continue
-            root = find(scope[0])
-            for j in scope[1:]:
-                parent[find(j)] = root
+    for link in links:
+        root = find(link[0])
+        for x in link[1:]:
+            parent[find(x)] = root
     groups: dict[int, list[int]] = {}
-    for i in agents:
-        groups.setdefault(find(i), []).append(i)
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _expand(crgs: Mapping[int, ConditionalReturnGraph], masks: Mapping,
-            t: int, agents: tuple[int, ...], states: tuple[int, ...],
-            action: tuple[int, ...]):
-    """Successor rows for one component action.
+class _Member(NamedTuple):
+    agent: int
+    graph: ConditionalReturnGraph
+    scope: tuple[int, ...]        # agents its graph reads in the component
+    positions: tuple[int, ...]    # their positions in the component
+    pick: Callable                # component tuple -> its entries at positions
+    keep: tuple[int, ...] | None  # cover mask of the component
 
-    ``masks`` holds each member's keep mask for this component (see
-    ``crg.cover_mask``). Each row is (next states, probability, step reward,
-    upper, lower); the bounds already include the step reward, matching the
-    weighted per-transition bound the action-level pruning sums up.
+
+class _Component:
+    """One component's members and links, compiled once.
+
+    A link is an interaction function of a member whose scope lies inside
+    the component, with its scope positions; it links them at a stage
+    exactly when it is in every scope member's signature there (see
+    ``_Search._signature``). Partitions are cached per signature vector.
     """
-    per_agent = []
-    for i, s, a in zip(agents, states, action):
-        outs = sorted(crgs[i].outcomes(s, a))
-        per_agent.append([(i, s, a, dst, p) for dst, p in outs])
-    rows = []
-    for combo in product(*per_agent):
-        context = {i: (s, a, dst) for i, s, a, dst, _ in combo}
-        p = 1.0
-        reward_parts, up, dn = [], 0.0, 0.0
-        for i, s, a, dst, q in combo:
-            p *= q
+
+    def __init__(self, crgs: Mapping[int, ConditionalReturnGraph],
+                 agents: tuple[int, ...]):
+        self.agents = agents
+        position = {i: q for q, i in enumerate(agents)}
+        rewards = crgs[agents[0]].instance.rewards
+        self.links = [(k, tuple(position[j] for j in rewards[k].scope))
+                      for i in agents for k in crgs[i].functions
+                      if rewards[k].is_interaction
+                      and position.keys() >= set(rewards[k].scope)]
+        self.members = []
+        for i in agents:
             g = crgs[i]
-            arc = resolve_arc(g, (s, a, dst), context)
-            r_i = assigned_reward(arc, masks[i])
-            reward_parts.append(r_i)
-            child = g.nodes[(t + 1, dst)]
-            up += r_i + child.upper
-            dn += r_i + child.lower
-        nxt = tuple(context[i][2] for i in agents)
-        rows.append((nxt, p, math.fsum(reward_parts), up, dn))
-    return rows
+            scope = tuple(j for j in g.scope if j in position)
+            positions = tuple(position[j] for j in scope)
+            pick = (itemgetter(*positions) if len(positions) > 1
+                    else itemgetter(slice(positions[0], positions[0] + 1)))
+            self.members.append(_Member(i, g, scope, positions, pick,
+                                        cover_mask(g, agents)))
+        self.partitions: dict = {}
+
+    def partition(self, vector: tuple[frozenset, ...]) -> list:
+        """The parts, as (agents, positions) in ``components`` order, that
+        one signature per member splits the component into."""
+        parts = self.partitions.get(vector)
+        if parts is None:
+            linked = [positions for k, positions in self.links
+                      if all(k in vector[q] for q in positions)]
+            parts = self.partitions[vector] = [
+                (tuple(self.agents[q] for q in g), g)
+                for g in _groups(range(len(vector)), linked)]
+        return parts
 
 
 class _Search:
@@ -158,59 +201,67 @@ class _Search:
         self.stats = SearchStats()
         # (t, component, component states) -> (value, best action)
         self.table: dict = {}
-        # component -> per-member keep masks over its graph's functions
-        self.masks: dict = {}
+        self.compiled: dict[tuple[int, ...], _Component] = {}
+        # (agent, scope, scope states) -> {scope actions: expected reward}
+        self.rewards: dict = {}
+        # (t, agent, state) -> {action: expected child (upper, lower)}
+        self.children: dict = {}
+        # per agent: (interaction functions reading it, those it owns)
+        self.touching = [
+            (tuple(k for k, rf in enumerate(m.rewards)
+                   if rf.is_interaction and i in rf.scope),
+             frozenset(crgs[i].functions)) for i in m.agents]
+        self.signatures: dict = {}   # (t, agent, state) -> signature
+        self.classes: dict = {}      # (t, agent, state, action) -> classes
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
 
     def solve(self, t: int, agents: tuple[int, ...],
               states: tuple[int, ...]) -> float:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceeded
+        """Value of the agents from these states, split into components."""
+        self._check_deadline()
         if t == self.m.horizon:
             return 0.0
         state_of = dict(zip(agents, states))
         comps = components(self.crgs, t, agents, state_of)
         if len(comps) > 1:
             self.stats.decouple_events += 1
-        values = []
-        for comp in comps:
-            self.stats.max_component_size = max(self.stats.max_component_size,
-                                                len(comp))
-            comp_states = tuple(state_of[i] for i in comp)
-            solved = self.table.get((t, comp, comp_states))
-            if solved is not None:
-                self.stats.memo_hits += 1
-                values.append(solved[0])
-            else:
-                values.append(self._solve_component(t, comp, comp_states))
-        return math.fsum(values)
+        return math.fsum(self._value(t, comp, tuple(state_of[i] for i in comp))
+                         for comp in comps)
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeBudgetExceeded
+
+    def _value(self, t: int, agents: tuple[int, ...],
+               states: tuple[int, ...]) -> float:
+        """One component's value, from the table or solved into it."""
+        solved = self.table.get((t, agents, states))
+        if solved is not None:
+            self.stats.memo_hits += 1
+            return solved[0]
+        self._check_deadline()
+        return self._solve_component(t, agents, states)
 
     def _solve_component(self, t: int, agents: tuple[int, ...],
                          states: tuple[int, ...]) -> float:
+        self.stats.max_component_size = max(self.stats.max_component_size,
+                                            len(agents))
+        comp = self.compiled.get(agents)
+        if comp is None:
+            comp = self.compiled[agents] = _Component(self.crgs, agents)
         actions = list(product(*(
             self.crgs[i].nodes[(t, s)].kept_actions
             for i, s in zip(agents, states))))
-        masks = self.masks.get(agents)
-        if masks is None:
-            masks = self.masks[agents] = {
-                i: cover_mask(self.crgs[i], agents) for i in agents}
-        expansions = {a: _expand(self.crgs, masks, t, agents, states, a)
-                      for a in actions}
-        bounds = {}
-        for a, rows in expansions.items():
-            bounds[a] = (math.fsum(p * up for _, p, _, up, _ in rows),
-                         math.fsum(p * dn for _, p, _, _, dn in rows))
-        lower_max = max(dn for _, dn in bounds.values())
+        bounds = self._bounds(t, comp, states, actions)
+        lower_max = max(dn for _, dn, _ in bounds.values())
         best_value, best_action = None, None
         for a in sorted(actions, key=lambda a: (-bounds[a][0], a)):
-            if (self.cfg.pruning
-                    and bounds[a][0] < lower_max - TOLERANCE):
+            up, _, rewards = bounds[a]
+            if self.cfg.pruning and up < lower_max - TOLERANCE:
                 self.stats.nodes_pruned += 1
                 continue
-            value = math.fsum(
-                p * (r + self.solve(t + 1, agents, nxt))
-                for nxt, p, r, _, _ in expansions[a])
+            value = self._evaluate(t, comp, states, a, rewards)
             self.stats.joint_actions_evaluated += 1
             if (best_value is None or value > best_value
                     or (value == best_value and a < best_action)):
@@ -219,6 +270,162 @@ class _Search:
         value = best_value if best_value is not None else 0.0
         self.table[(t, agents, states)] = (value, best_action)
         return value
+
+    def _bounds(self, t: int, comp: _Component, states: tuple[int, ...],
+                actions: Sequence[tuple[int, ...]]) -> dict:
+        """Per action: (upper, lower, members' expected rewards).
+
+        Each bound sums, over members, the expected assigned reward and the
+        expected bound of the member's next graph node.
+        """
+        per_member = [
+            (q, member, member.pick,
+             self.rewards.setdefault(
+                 (member.agent, member.scope, member.pick(states)), {}),
+             self.children.setdefault((t, member.agent, states[q]), {}))
+            for q, member in enumerate(comp.members)]
+        bounds = {}
+        for a in actions:
+            rewards, ups, dns = [], [], []
+            for q, member, pick, expected, children in per_member:
+                sub = pick(a)
+                r = expected.get(sub)
+                if r is None:
+                    r = expected[sub] = self._expected_reward(
+                        member, states, a)
+                child = children.get(a[q])
+                if child is None:
+                    child = children[a[q]] = self._child_bounds(
+                        t, member, states[q], a[q])
+                rewards.append(r)
+                ups += (r, child[0])
+                dns += (r, child[1])
+            bounds[a] = (math.fsum(ups), math.fsum(dns), rewards)
+        return bounds
+
+    def _expected_reward(self, member: _Member, states: tuple[int, ...],
+                         action: tuple[int, ...]) -> float:
+        """E[r_i] over the outcomes of the agents i's graph reads inside the
+        component; the agents it reads outside are left out of the context."""
+        i, g, scope, positions, _, keep = member
+        locals_ = self.m.locals
+        outs = [locals_[j].outcomes(states[q], action[q])
+                for j, q in zip(scope, positions)]
+        terms = []
+        context = {}
+        for row in product(*outs):
+            p = 1.0
+            for j, q, (dst, pr) in zip(scope, positions, row):
+                p *= pr
+                context[j] = (states[q], action[q], dst)
+            terms.append(p * assigned_reward(
+                resolve_arc(g, context[i], context), keep))
+        return math.fsum(terms)
+
+    def _child_bounds(self, t: int, member: _Member, state: int,
+                      action: int) -> tuple[float, float]:
+        g = member.graph
+        children = [(p, g.nodes[(t + 1, dst)])
+                    for dst, p in g.outcomes(state, action)]
+        return (math.fsum(p * c.upper for p, c in children),
+                math.fsum(p * c.lower for p, c in children))
+
+    def _signature(self, t: int, i: int, state: int) -> frozenset:
+        """The interaction functions agent i leaves able to link at stage t
+        from this state: none dead from its state, and those it owns also
+        live at its graph node. A function links its scope exactly when it
+        is in every scope member's signature, which is the test
+        ``components`` makes."""
+        key = (t, i, state)
+        sig = self.signatures.get(key)
+        if sig is None:
+            g = self.crgs[i]
+            touching, owned = self.touching[i]
+            live = g.nodes[(t, state)].live_interactions
+            found = frozenset(
+                k for k in touching
+                if (k in live or k not in owned)
+                and not g.index.interaction_dead(i, state, t, k))
+            sig = self.signatures[key] = found
+        return sig
+
+    def _outcome_classes(self, t: int, i: int, state: int,
+                         action: int) -> list:
+        """Agent i's outcomes of ``action`` grouped by their signature at
+        stage t, as (signature, class probability, outcomes); a lone class
+        has probability 1.0 exactly."""
+        key = (t, i, state, action)
+        classes = self.classes.get(key)
+        if classes is None:
+            outs = self.m.locals[i].outcomes(state, action)
+            grouped: dict[frozenset, list] = {}
+            for dst, p in outs:
+                grouped.setdefault(self._signature(t, i, dst), []).append(
+                    (dst, p))
+            if len(grouped) == 1:
+                classes = [(sig, 1.0, outs) for sig in grouped]
+            else:
+                classes = [(sig, math.fsum(p for _, p in cls), cls)
+                           for sig, cls in grouped.items()]
+            self.classes[key] = classes
+        return classes
+
+    def _evaluate(self, t: int, comp: _Component, states: tuple[int, ...],
+                  action: tuple[int, ...], rewards: list[float]) -> float:
+        """fsum of the members' expected rewards and the expected value of
+        the next stage.
+
+        Under one vector of outcome classes the next-stage partition is
+        fixed, and the expected sum of part values is the sum of each part's
+        expectation over its own members' classes, weighted by the class
+        probabilities of the members outside it.
+        """
+        nt = t + 1
+        terms = list(rewards)
+        if nt == self.m.horizon:
+            return math.fsum(terms)
+        if len(states) == 1:  # nothing to split, so no signatures needed
+            terms.append(self._part_value(nt, comp.agents, [
+                comp.members[0].graph.outcomes(states[0], action[0])]))
+            return math.fsum(terms)
+        per_member = [self._outcome_classes(nt, i, s, a)
+                      for i, s, a in zip(comp.agents, states, action)]
+        # with one class per member there is one vector, every weight is 1.0
+        # and no part sum recurs
+        single = all(len(classes) == 1 for classes in per_member)
+        sums: dict = {}
+        for combo in product(*per_member):
+            vector = tuple(sig for sig, _, _ in combo)
+            parts = comp.partition(vector)
+            if len(parts) > 1:
+                self.stats.decouple_events += 1
+            for agents, positions in parts:
+                outcomes = [combo[q][2] for q in positions]
+                if single:
+                    terms.append(self._part_value(nt, agents, outcomes))
+                    continue
+                key = (positions, tuple(vector[q] for q in positions))
+                e = sums.get(key)
+                if e is None:
+                    e = sums[key] = self._part_value(nt, agents, outcomes)
+                weight = 1.0
+                for q, (_, p, _) in enumerate(combo):
+                    if q not in positions:
+                        weight *= p
+                terms.append(weight * e)
+        return math.fsum(terms)
+
+    def _part_value(self, t: int, agents: tuple[int, ...],
+                    outcomes: list) -> float:
+        """Expected table value of one part over its members' outcomes."""
+        terms = []
+        for row in product(*outcomes):
+            p = 1.0
+            for _, pr in row:
+                p *= pr
+            terms.append(p * self._value(t, agents,
+                                         tuple(dst for dst, _ in row)))
+        return math.fsum(terms)
 
     def policy(self) -> Policy:
         """Compose the recorded per-component argmax decisions into a joint

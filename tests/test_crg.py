@@ -245,6 +245,13 @@ class TestBuild:
         with pytest.raises(CrgError, match="not represented"):
             resolve_arc(crgs[1], (0, 0, 2), {0: (0, 0, 1)})
 
+    def test_lookup_of_a_context_transition_the_agent_lacks_raises(self):
+        m = example_two_agent()
+        crgs = build_crgs(m, partition_rewards(m, example_partition()))
+        with pytest.raises(CrgError, match=r"agent 0 cannot take transition "
+                                           r"\(9, 9, 9\)"):
+            resolve_arc(crgs[1], (0, 0, 1), {0: (9, 9, 9)})
+
     def test_wildcard_substitution_never_changes_leaf_reward(self):
         for seed in range(8):
             m = random_instance(seed, feature_scoped=True)

@@ -1,18 +1,25 @@
 import math
+import time
+from itertools import count, product
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timmdp.search
 from timmdp.baselines import dp_solve, evaluate_policy
-from timmdp.crg import build_crgs, partition_rewards
+from timmdp.crg import build_crgs, cover_mask, partition_rewards
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.search import SearchConfig, core_solve
+from timmdp.search import SearchConfig, _Search, components, core_solve
 
 from util import (
     bf_joint_future_fires,
     independent_components,
     joint_action_bounds,
     random_instance,
+    row_product,
+    table_value,
 )
 
 
@@ -51,6 +58,32 @@ class TestCoreSolve:
         assert report.status == "timeout"
         assert report.value is None
         assert report.policy is None
+
+    @pytest.mark.parametrize("pruning", (True, False))
+    @pytest.mark.parametrize("budget", (2, 3, 5, 8))
+    def test_deadline_is_checked_before_each_fresh_solve(self, monkeypatch,
+                                                         pruning, budget):
+        """On a clock that ticks once per reading, the root's check takes
+        one tick and every fresh component solve one more, so a budget
+        that runs out after the root stops the walk before any further
+        component solve."""
+        ticks = count()
+        monkeypatch.setattr(timmdp.search, "time", SimpleNamespace(
+            monotonic=lambda: next(ticks), perf_counter=time.perf_counter))
+        solves = []
+        solve_component = _Search._solve_component
+
+        def counted(search, t, agents, states):
+            solves.append((t, agents, states))
+            return solve_component(search, t, agents, states)
+
+        monkeypatch.setattr(_Search, "_solve_component", counted)
+        m = random_instance(2, n_agents=3, horizon=4)
+        report = core_solve(m, build_crgs(m),
+                            SearchConfig(pruning=pruning, time_budget=budget))
+        assert report.status == "timeout"
+        assert report.value is None and report.policy is None
+        assert len(solves) == budget - 1
 
 
 def _restrict_to_agent(m, i):
@@ -119,7 +152,7 @@ class TestPruningSafety:
                 <= ps.stats.joint_actions_evaluated)
 
     def test_pyramid_counters_are_pinned(self):
-        """pyra(5,3), seed 1: recorded counters of the memoised walk."""
+        """pyra(5,3), seed 1: recorded counters of the factored walk."""
         from timmdp.domains import compile_mpp, gen_pyra
 
         m = compile_mpp(gen_pyra(5, 3, seed=1))
@@ -127,8 +160,8 @@ class TestPruningSafety:
         assert report.value == 95.8227
         assert report.stats.as_dict() == {
             "joint_actions_evaluated": 181, "nodes_pruned": 147,
-            "decouple_events": 568, "max_component_size": 5,
-            "memo_hits": 2134}
+            "decouple_events": 123, "max_component_size": 5,
+            "memo_hits": 627}
         assert len(report.trace) == 55
 
     def test_crg_ps_keeps_time_budget(self):
@@ -137,6 +170,7 @@ class TestPruningSafety:
                             SearchConfig(pruning=False, time_budget=0.0))
         assert report.algorithm == "crg-ps"
         assert report.status == "timeout" and report.value is None
+        assert report.policy is None
 
     def test_determinism_of_reports(self):
         m = random_instance(9, n_agents=2, horizon=4)
@@ -148,21 +182,10 @@ class TestPruningSafety:
         assert a.policy.entries == b.policy.entries
 
     def test_lower_bound_only_rises_within_a_node(self):
-        from itertools import product
-
-        from timmdp.crg import cover_mask
-        from timmdp.search import _expand, components
-
         m = random_instance(12, n_agents=2, horizon=3)
         crgs = build_crgs(m)
         # without pruning every successor's components are in the table
         solved = core_solve(m, crgs, SearchConfig(pruning=False)).trace
-
-        def value(t, agents, states):
-            state_of = dict(zip(agents, states))
-            return math.fsum(
-                solved[(t, comp, tuple(state_of[i] for i in comp))][0]
-                for comp in components(crgs, t, agents, state_of))
 
         agents = tuple(m.agents)
         state_of = dict(zip(agents, m.initial))
@@ -172,18 +195,58 @@ class TestPruningSafety:
             actions = list(product(*(
                 crgs[i].nodes[(0, s)].kept_actions
                 for i, s in zip(comp, comp_states))))
-            expansions = {a: _expand(crgs, masks, 0, comp, comp_states, a)
+            expansions = {a: row_product(crgs, masks, 0, comp, comp_states, a)
                           for a in actions}
             bounds = {a: sum(p * dn for _, p, _, _, dn in rows)
                       for a, rows in expansions.items()}
             lower_max = max(bounds.values())
             history = [lower_max]
             for a in actions:
-                q = sum(p * (r + value(1, comp, nxt))
+                q = sum(p * (r + table_value(crgs, solved, m.horizon, 1, comp,
+                                             nxt))
                         for nxt, p, r, _, _ in expansions[a])
                 lower_max = max(lower_max, q)
                 history.append(lower_max)
             assert history == sorted(history)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
+           feature_scoped=st.booleans())
+    def test_factored_walk_matches_the_row_product(self, seed, n_agents,
+                                                   feature_scoped):
+        """At every table entry, every kept action's scope-local bounds and
+        its value split over next-stage parts agree with the sums over the
+        full product of the component's outcomes."""
+        three = n_agents == 3
+        m = random_instance(seed, n_agents=n_agents, horizon=3,
+                            max_states=3 if three else 4,
+                            max_actions=2 if three else 3,
+                            feature_scoped=feature_scoped)
+        crgs = build_crgs(m)
+        search = _Search(m, crgs, SearchConfig(pruning=False))
+        search.solve(0, tuple(m.agents), tuple(m.initial))
+        table = dict(search.table)
+        for t, comp, states in table:
+            assert components(crgs, t, comp, dict(zip(comp, states))) == [comp]
+            masks = {i: cover_mask(crgs[i], comp) for i in comp}
+            actions = list(product(*(crgs[i].nodes[(t, s)].kept_actions
+                                     for i, s in zip(comp, states))))
+            bounds = search._bounds(t, search.compiled[comp], states, actions)
+            for a in actions:
+                rows = row_product(crgs, masks, t, comp, states, a)
+                upper, lower, rewards = bounds[a]
+                assert abs(upper - math.fsum(p * up for _, p, _, up, _
+                                             in rows)) <= 1e-9
+                assert abs(lower - math.fsum(p * dn for _, p, _, _, dn
+                                             in rows)) <= 1e-9
+                value = search._evaluate(t, search.compiled[comp], states, a,
+                                         rewards)
+                expected = math.fsum(
+                    p * (r + table_value(crgs, table, m.horizon, t + 1, comp,
+                                         nxt))
+                    for nxt, p, r, _, _ in rows)
+                assert abs(value - expected) <= 1e-9, (t, comp, states, a)
+        assert search.table.keys() == table.keys()
 
 
 class TestComponents:

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random instances, brute-force oracles,
-execution sequences and the best open-loop plan, and small queries of the
-search and of policies.
+execution sequences and the best open-loop plan, the full row-product
+reference for the search's factored bounds and values, and small queries of
+the search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
@@ -16,7 +17,7 @@ from itertools import product
 from typing import Iterator
 
 from timmdp.baselines import DpResult
-from timmdp.crg import cover_mask
+from timmdp.crg import assigned_reward, cover_mask, resolve_arc
 from timmdp.model import (
     JointAction,
     JointState,
@@ -32,7 +33,7 @@ from timmdp.model import (
     reward_value_local,
     total_reward,
 )
-from timmdp.search import _expand, components
+from timmdp.search import components
 from timmdp.rng import SplitMix64
 
 # Outcome probability menus with exact float sums.
@@ -551,16 +552,60 @@ def random_execution_sequence(m: TiMmdpInstance, rng: SplitMix64):
 # Search and policy helpers
 
 
+def row_product(crgs, masks, t: int, agents: tuple[int, ...],
+                states: tuple[int, ...], action: tuple[int, ...]) -> list:
+    """Successor rows of one component action over the full product of its
+    members' outcomes, the reference the factored walk must agree with.
+
+    ``masks`` holds each member's keep mask for this component (see
+    ``crg.cover_mask``). Each row is (next states, probability, step reward,
+    upper, lower); the bounds already include the step reward.
+    """
+    per_agent = []
+    for i, s, a in zip(agents, states, action):
+        outs = sorted(crgs[i].outcomes(s, a))
+        per_agent.append([(i, s, a, dst, p) for dst, p in outs])
+    rows = []
+    for combo in product(*per_agent):
+        context = {i: (s, a, dst) for i, s, a, dst, _ in combo}
+        p = 1.0
+        reward_parts, up, dn = [], 0.0, 0.0
+        for i, s, a, dst, q in combo:
+            p *= q
+            g = crgs[i]
+            arc = resolve_arc(g, (s, a, dst), context)
+            r_i = assigned_reward(arc, masks[i])
+            reward_parts.append(r_i)
+            child = g.nodes[(t + 1, dst)]
+            up += r_i + child.upper
+            dn += r_i + child.lower
+        nxt = tuple(context[i][2] for i in agents)
+        rows.append((nxt, p, math.fsum(reward_parts), up, dn))
+    return rows
+
+
 def joint_action_bounds(crgs, t: int, agents, states,
                         action) -> tuple[float, float]:
     """Probability-weighted (lower, upper) return bounds of one joint action
-    of the given agent subset, as the search computes them."""
+    of the given agent subset, summed over the full row product."""
     agents = tuple(agents)
     masks = {i: cover_mask(crgs[i], agents) for i in agents}
-    rows = _expand(crgs, masks, t, agents, tuple(states), tuple(action))
+    rows = row_product(crgs, masks, t, agents, tuple(states), tuple(action))
     upper = math.fsum(p * up for _, p, _, up, _ in rows)
     lower = math.fsum(p * dn for _, p, _, _, dn in rows)
     return lower, upper
+
+
+def table_value(crgs, table: dict, horizon: int, t: int, agents,
+                states) -> float:
+    """Value of ``agents`` in ``states`` at stage t: the sum of their
+    components' table entries, which a solve without pruning fills for every
+    reachable state."""
+    if t == horizon:
+        return 0.0
+    state_of = dict(zip(agents, states))
+    return math.fsum(table[(t, comp, tuple(state_of[i] for i in comp))][0]
+                     for comp in components(crgs, t, agents, state_of))
 
 
 def independent_components(m: TiMmdpInstance, crgs, t: int,
