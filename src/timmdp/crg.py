@@ -106,8 +106,12 @@ def partition_rewards(m: TiMmdpInstance,
 
 class InstanceIndex:
     """Caches of stage reachability, availability, the source states that
-    realize each table entry's slices, and interaction deadness. State
+    realize each table entry's slices, and interaction liveness. State
     projections are compiled on the instance (``TiMmdpInstance.projection``).
+
+    Interaction liveness is compiled once per (agent, function) by one
+    backward sweep over the stages, and ``interaction_dead`` answers only
+    states in ``stage_reach`` at their stage; every caller asks about those.
     """
 
     def __init__(self, m: TiMmdpInstance):
@@ -125,16 +129,9 @@ class InstanceIndex:
                     per_action.setdefault(a, []).append((s, dst))
             self.available.append(trs)
             self.by_action.append(per_action)
-        self._reach_from: dict[tuple[int, int, int], list[set[int]]] = {}
         self._entry_sources: dict[tuple[int, tuple], tuple[frozenset, ...]] = {}
-        self._dead: dict[tuple[int, int, int, int], bool] = {}
-
-    def reach_from(self, agent: int, state: int, stage: int) -> list[set[int]]:
-        key = (agent, state, stage)
-        if key not in self._reach_from:
-            self._reach_from[key] = reachable_local_states(
-                self.m, agent, start=state, from_stage=stage)
-        return self._reach_from[key]
+        # (agent, function) -> per stage, the states it is alive from
+        self._alive: dict[tuple[int, int], list[set[int]]] = {}
 
     def entry_sources(self, rf_index: int, key: tuple) -> tuple[frozenset, ...]:
         """Per scope position, source states of available transitions matching
@@ -163,41 +160,32 @@ class InstanceIndex:
         Other agents are quantified over everything reachable from their
         initial states at matching stages, so the answer holds for every
         joint history putting this agent here - it depends on the local
-        state alone.
+        state alone. One backward sweep per (agent, function) compiles the
+        answers for the states in ``stage_reach``: at stage x the function
+        fires from the agent's slice sources of each nonzero entry whose
+        every slice meets its member's ``stage_reach[x]``, and it is alive
+        from a state that fires or has an available transition to a state
+        alive at the next stage. A nonzero default is alive everywhere.
         """
-        key = (agent, state, stage, rf_index)
-        if key in self._dead:
-            return self._dead[key]
         rf = self.m.rewards[rf_index]
-        dead = True
         if rf.default != 0.0:
-            dead = False
-        else:
-            own = self.reach_from(agent, state, stage)
-            pos_own = rf.scope.index(agent)
-            for entry_key, value in rf.table.items():
-                if value == 0.0:
-                    continue
-                sources = self.entry_sources(rf_index, entry_key)
-                if any(not src for src in sources):
-                    continue
-                for x in range(stage, self.m.horizon):
-                    if not (own[x] & sources[pos_own]):
-                        continue
-                    ok = True
-                    for pos, other in enumerate(rf.scope):
-                        if other == agent:
-                            continue
-                        if not (self.stage_reach[other][x] & sources[pos]):
-                            ok = False
-                            break
-                    if ok:
-                        dead = False
-                        break
-                if not dead:
-                    break
-        self._dead[key] = dead
-        return dead
+            return False
+        alive = self._alive.get((agent, rf_index))
+        if alive is None:
+            own, horizon = rf.scope.index(agent), self.m.horizon
+            alive = self._alive[(agent, rf_index)] = [
+                set() for _ in range(horizon + 1)]
+            for key, value in rf.table.items():
+                if value != 0.0:
+                    sources = self.entry_sources(rf_index, key)
+                    for x in range(horizon):
+                        if all(self.stage_reach[j][x] & sources[pos]
+                               for pos, j in enumerate(rf.scope)):
+                            alive[x] |= sources[own]
+            for t in range(horizon - 1, -1, -1):
+                alive[t] |= {s for s, _, dst in self.available[agent]
+                             if dst in alive[t + 1]}
+        return state not in alive[stage]
 
 
 # ---------------------------------------------------------------------------

@@ -213,18 +213,13 @@ def enumerate_successors(m: TiMmdpInstance, s: JointState,
     return result
 
 
-def reachable_local_states(m: TiMmdpInstance, agent: int,
-                           start: int | None = None,
-                           from_stage: int = 0) -> list[set[int]]:
-    """Per-stage sets of local states reachable from ``start`` at ``from_stage``.
-
-    Index x of the result holds the states reachable at stage x; stages
-    before ``from_stage`` are empty sets.
-    """
+def reachable_local_states(m: TiMmdpInstance, agent: int) -> list[set[int]]:
+    """Per-stage sets of the agent's local states reachable from its initial
+    state: index x of the result holds the states reachable at stage x."""
     local = m.locals[agent]
     sets: list[set[int]] = [set() for _ in range(m.horizon + 1)]
-    sets[from_stage] = {m.initial[agent] if start is None else start}
-    for t in range(from_stage, m.horizon):
+    sets[0] = {m.initial[agent]}
+    for t in range(m.horizon):
         nxt: set[int] = set()
         for sid in sets[t]:
             for a in local.available(sid):

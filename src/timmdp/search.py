@@ -2,10 +2,14 @@
 
 The solver walks the joint search space depth first, one table entry per
 (stage, component, component states). A component is a set of agents still
-linked by a reward function that can fire (``components``); agents in
-different components are solved separately and their values added, so each
-entry is solved once and its value and decision are reused wherever it
-recurs.
+linked by an interaction function that can fire. Each agent's liveness
+signature - the functions it leaves able to link from its state - is compiled
+once per (stage, agent, state); a function links its scope exactly when it is
+in every scope member's signature. The root, every successor and the policy
+extraction take their parts from one partition per (component, signature
+vector). Agents in different components are solved separately and their
+values added, so each entry is solved once and its value and decision are
+reused wherever it recurs.
 
 Within a component every kept joint action gets return bounds from the
 conditional return graphs. A member's share of a bound is its expected
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -73,13 +77,7 @@ class SearchStats:
     memo_hits: int = 0            # component values answered from the table
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "joint_actions_evaluated": self.joint_actions_evaluated,
-            "nodes_pruned": self.nodes_pruned,
-            "decouple_events": self.decouple_events,
-            "max_component_size": self.max_component_size,
-            "memo_hits": self.memo_hits,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -93,29 +91,6 @@ class SolveReport:
     # (t, component, component states) -> (value, decision), one entry per
     # distinct component solved
     trace: dict | None = None
-
-
-def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
-               agents: Sequence[int],
-               states: Mapping[int, int]) -> list[tuple[int, ...]]:
-    """Connected components of the still-interacting relation.
-
-    A function links its scope only while a nonzero arc of it remains
-    reachable in its owner's graph and no member's local state already
-    rules it out. Both tests depend on the current states alone, so the
-    partition can only refine along a branch.
-    """
-    agent_set = set(agents)
-    links = []
-    for i in agents:
-        g = crgs[i]
-        for k in g.nodes[(t, states[i])].live_interactions:
-            scope = g.instance.rewards[k].scope
-            if set(scope) <= agent_set and not any(
-                    g.index.interaction_dead(j, states[j], t, k)
-                    for j in scope):
-                links.append(scope)
-    return _groups(agents, links)
 
 
 def _groups(items: Sequence[int],
@@ -179,8 +154,8 @@ class _Component:
         self.partitions: dict = {}
 
     def partition(self, vector: tuple[frozenset, ...]) -> list:
-        """The parts, as (agents, positions) in ``components`` order, that
-        one signature per member splits the component into."""
+        """The parts, as (agents, positions), sorted, that one signature
+        per member splits the component into."""
         parts = self.partitions.get(vector)
         if parts is None:
             linked = [positions for k, positions in self.links
@@ -222,12 +197,12 @@ class _Search:
         self._check_deadline()
         if t == self.m.horizon:
             return 0.0
-        state_of = dict(zip(agents, states))
-        comps = components(self.crgs, t, agents, state_of)
-        if len(comps) > 1:
+        parts = self._parts(t, agents, states)
+        if len(parts) > 1:
             self.stats.decouple_events += 1
-        return math.fsum(self._value(t, comp, tuple(state_of[i] for i in comp))
-                         for comp in comps)
+        return math.fsum(
+            self._value(t, part, tuple(states[q] for q in positions))
+            for part, positions in parts)
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -247,9 +222,7 @@ class _Search:
                          states: tuple[int, ...]) -> float:
         self.stats.max_component_size = max(self.stats.max_component_size,
                                             len(agents))
-        comp = self.compiled.get(agents)
-        if comp is None:
-            comp = self.compiled[agents] = _Component(self.crgs, agents)
+        comp = self._component(agents)
         actions = list(product(*(
             self.crgs[i].nodes[(t, s)].kept_actions
             for i, s in zip(agents, states))))
@@ -270,6 +243,19 @@ class _Search:
         value = best_value if best_value is not None else 0.0
         self.table[(t, agents, states)] = (value, best_action)
         return value
+
+    def _component(self, agents: tuple[int, ...]) -> _Component:
+        comp = self.compiled.get(agents)
+        if comp is None:
+            comp = self.compiled[agents] = _Component(self.crgs, agents)
+        return comp
+
+    def _parts(self, t: int, agents: tuple[int, ...],
+               states: tuple[int, ...]) -> list:
+        """The parts, as (agents, positions), that the members' signatures
+        at these states split the agents into."""
+        return self._component(agents).partition(tuple(
+            self._signature(t, i, s) for i, s in zip(agents, states)))
 
     def _bounds(self, t: int, comp: _Component, states: tuple[int, ...],
                 actions: Sequence[tuple[int, ...]]) -> dict:
@@ -333,9 +319,7 @@ class _Search:
     def _signature(self, t: int, i: int, state: int) -> frozenset:
         """The interaction functions agent i leaves able to link at stage t
         from this state: none dead from its state, and those it owns also
-        live at its graph node. A function links its scope exactly when it
-        is in every scope member's signature, which is the test
-        ``components`` makes."""
+        live at its graph node."""
         key = (t, i, state)
         sig = self.signatures.get(key)
         if sig is None:
@@ -431,6 +415,7 @@ class _Search:
         """Compose the recorded per-component argmax decisions into a joint
         policy defined on every state it can reach from the start."""
         m = self.m
+        agents = tuple(m.agents)
         entries: dict[tuple[int, JointState], JointAction] = {}
         stack = [(0, tuple(m.initial))]
         seen = set()
@@ -439,12 +424,11 @@ class _Search:
             if t >= m.horizon or (t, s) in seen:
                 continue
             seen.add((t, s))
-            state_of = dict(zip(m.agents, s))
             action = [None] * m.n_agents
-            for comp in components(self.crgs, t, m.agents, state_of):
-                comp_states = tuple(state_of[i] for i in comp)
-                _, decision = self.table[(t, comp, comp_states)]
-                for i, a in zip(comp, decision):
+            for part, positions in self._parts(t, agents, s):
+                _, decision = self.table[(t, part,
+                                          tuple(s[q] for q in positions))]
+                for i, a in zip(part, decision):
                     action[i] = a
             joint = tuple(action)
             entries[(t, s)] = joint

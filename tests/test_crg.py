@@ -436,6 +436,44 @@ class TestLocalCri:
                     assert node.locally_cri == want, (seed, i, t, s)
 
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
+           variant=st.sampled_from(("plain", "feature_scoped", "layered",
+                                    "default", "zeroed")),
+           interaction_horizon=st.integers(1, 3),
+           default=st.sampled_from((0.0, -2.0, 1.0)),
+           shift=st.sampled_from((0.0, 2.0, -1.0)))
+    def test_interaction_dead_matches_exhaustive_sweep_per_function(
+            self, seed, n_agents, variant, interaction_horizon, default,
+            shift):
+        """Each function's deadness, not only the conjunction the flag
+        takes, agrees with the brute-force sweep at every reachable state,
+        on plain, feature-scoped, layered, defaulted and zero-entry draws."""
+        layered = variant == "layered"
+        m = random_instance(seed, n_agents=n_agents, n_interactions=2,
+                            feature_scoped=variant == "feature_scoped",
+                            layered=layered,
+                            interaction_horizon=(interaction_horizon
+                                                 if layered else None))
+        if variant == "default":
+            m = with_interaction_default(m, default=default, shift=shift)
+        if variant == "zeroed":  # zero-valued entries never fire
+            for rf in m.rewards:
+                if rf.is_interaction:
+                    for key in sorted(rf.table, key=repr)[::2]:
+                        rf.table[key] = 0.0
+        index = InstanceIndex(m)
+        for k, rf in enumerate(m.rewards):
+            if not rf.is_interaction:
+                continue
+            for i in rf.scope:
+                for t, states in enumerate(index.stage_reach[i]):
+                    for s in states:
+                        assert index.interaction_dead(i, s, t, k) == (
+                            not bf_interaction_alive(m, k, i, s, t)), \
+                            (k, i, t, s)
+
+
 class TestInteractionReachable:
     """A function missing from a node's ``live_interactions`` can no longer
     produce a nonzero arc anywhere below that node."""

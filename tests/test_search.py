@@ -11,10 +11,11 @@ import timmdp.search
 from timmdp.baselines import dp_solve, evaluate_policy
 from timmdp.crg import build_crgs, cover_mask, partition_rewards
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.search import SearchConfig, _Search, components, core_solve
+from timmdp.search import SearchConfig, _Search, core_solve
 
 from util import (
     bf_joint_future_fires,
+    components,
     independent_components,
     joint_action_bounds,
     random_instance,
@@ -270,6 +271,33 @@ class TestComponents:
         crgs = build_crgs(m)
         comps = independent_components(m, crgs, 0, m.initial)
         assert comps == [tuple(range(7))]
+
+    def test_owned_function_alive_but_never_nonzero_does_not_link(self):
+        """A nonzero default keeps an interaction alive in
+        ``interaction_dead``, but a zero entry for every joint transition
+        of its scope leaves no nonzero arc in its owner's graph: the
+        function is not live at the owner's nodes, so it links nothing."""
+        from timmdp.baselines import dp_solve
+        from timmdp.crg import InstanceIndex
+        from util import available_transitions
+
+        m = random_instance(3, n_agents=2, horizon=3)
+        k = next(k for k, rf in enumerate(m.rewards) if rf.is_interaction)
+        rf = m.rewards[k]
+        rf.default = 5.0
+        rf.table = {tuple(zip(*trs)): 0.0 for trs in product(
+            *(available_transitions(m, j) for j in rf.scope))}
+        assert rf.scope == (0, 1)
+        assert not InstanceIndex(m).interaction_dead(0, m.initial[0], 0, k)
+        crgs = build_crgs(m)
+        dp = dp_solve(m).value
+        for pruning in (True, False):
+            report = core_solve(m, crgs, SearchConfig(pruning=pruning))
+            assert sorted(comp for t, comp, _ in report.trace if t == 0) \
+                == [(0,), (1,)]
+            assert report.stats.max_component_size == 1
+            assert abs(report.value - dp) <= 1e-9
+            assert abs(evaluate_policy(m, report.policy) - dp) <= 1e-9
 
     def test_split_functions_cannot_fire(self):
         """Soundness against the exhaustive oracle: at every reachable joint

@@ -1,12 +1,13 @@
 """Shared test helpers: seeded random instances, brute-force oracles,
 execution sequences and the best open-loop plan, the full row-product
-reference for the search's factored bounds and values, and small queries of
-the search and of policies.
+reference for the search's factored bounds and values, the reference
+partition ``components`` that the search's signature partitions are checked
+against, and small queries of the search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
-implementation paths they check. The search queries at the end call the
-search's own functions.
+implementation paths they check. The queries at the end call the graphs'
+and the search's own functions.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from timmdp.baselines import DpResult
-from timmdp.crg import assigned_reward, cover_mask, resolve_arc
+from timmdp.crg import (
+    ConditionalReturnGraph,
+    assigned_reward,
+    cover_mask,
+    resolve_arc,
+)
 from timmdp.model import (
     JointAction,
     JointState,
@@ -33,7 +39,7 @@ from timmdp.model import (
     reward_value_local,
     total_reward,
 )
-from timmdp.search import components
+from timmdp.search import _groups
 from timmdp.rng import SplitMix64
 
 # Outcome probability menus with exact float sums.
@@ -324,8 +330,9 @@ def bf_interaction_alive(m: TiMmdpInstance, rf_index: int, agent: int,
     rf = m.rewards[rf_index]
     if rf.default != 0.0:
         return True
-    own = reachable_local_states(m, agent, start=state, from_stage=stage)
-    others = {q: reachable_local_states(m, q) for q in rf.scope if q != agent}
+    own = _bf_reach(m, agent, state, stage)
+    others = {q: _bf_reach(m, q, m.initial[q], 0)
+              for q in rf.scope if q != agent}
     for x in range(stage, m.horizon):
         own_trs = [tr for tr in available_transitions(m, agent)
                    if tr[0] in own[x]]
@@ -346,6 +353,17 @@ def bf_interaction_alive(m: TiMmdpInstance, rf_index: int, agent: int,
                 if reward_value_local(m, rf, states, actions, nexts) != 0.0:
                     return True
     return False
+
+
+def _bf_reach(m: TiMmdpInstance, agent: int, state: int,
+              stage: int) -> dict[int, set[int]]:
+    """Stage -> the agent's states reachable there from ``state`` at
+    ``stage``, over every available transition."""
+    reach = {stage: {state}}
+    for x in range(stage, m.horizon):
+        reach[x + 1] = {dst for src, _, dst in available_transitions(m, agent)
+                        if src in reach[x]}
+    return reach
 
 
 def bf_joint_future_fires(m: TiMmdpInstance, rf_index: int, t: int,
@@ -594,6 +612,29 @@ def joint_action_bounds(crgs, t: int, agents, states,
     upper = math.fsum(p * up for _, p, _, up, _ in rows)
     lower = math.fsum(p * dn for _, p, _, _, dn in rows)
     return lower, upper
+
+
+def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
+               agents: Sequence[int],
+               states: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """Connected components of the still-interacting relation.
+
+    A function links its scope only while a nonzero arc of it remains
+    reachable in its owner's graph and no member's local state already
+    rules it out. Both tests depend on the current states alone, so the
+    partition can only refine along a branch.
+    """
+    agent_set = set(agents)
+    links = []
+    for i in agents:
+        g = crgs[i]
+        for k in g.nodes[(t, states[i])].live_interactions:
+            scope = g.instance.rewards[k].scope
+            if set(scope) <= agent_set and not any(
+                    g.index.interaction_dead(j, states[j], t, k)
+                    for j in scope):
+                links.append(scope)
+    return _groups(agents, links)
 
 
 def table_value(crgs, table: dict, horizon: int, t: int, agents,
