@@ -4,60 +4,14 @@ Builds per-agent conditional return graphs over a reward partition, derives
 admissible return bounds from them and runs a decoupling branch-and-bound
 policy search, verified against a plain dynamic-programming oracle. Ships
 benchmark generators, stable file formats and a batch CLI.
+
+The top level exports the names of the README's library sketch; everything
+else is imported from its module (``timmdp.crg``, ``timmdp.search``, ...).
 """
 
-from .baselines import (
-    DpResult,
-    StateSpaceBudgetExceeded,
-    dp_solve,
-    evaluate_policy,
-)
-from .crg import (
-    ConditionalReturnGraph,
-    CrgError,
-    InstanceIndex,
-    RewardPartition,
-    SizeAudit,
-    build_crg,
-    build_crgs,
-    partition_rewards,
-    size_audit,
-)
-from .domains import (
-    GeneratorParams,
-    MaintenanceTask,
-    MppInstance,
-    compile_mpp,
-    example_two_agent,
-    gen_coordint,
-    gen_pyra,
-    gen_random_mpp,
-)
-from .formats import (
-    FormatError,
-    ResultRow,
-    export_dot,
-    read_instance,
-    write_instance,
-    write_results,
-)
-from .model import (
-    LocalAction,
-    LocalMdp,
-    LocalState,
-    Policy,
-    RewardFunction,
-    TiMmdpInstance,
-    TimeBudgetExceeded,
-    Violation,
-    enumerate_successors,
-    total_reward,
-    validate_instance,
-)
-from .search import (
-    SearchConfig,
-    SolveReport,
-    core_solve,
-)
+from .baselines import dp_solve
+from .crg import build_crgs
+from .domains import GeneratorParams, compile_mpp, gen_random_mpp
+from .search import core_solve
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -51,19 +50,6 @@ def _load_valid_instance(path: str) -> TiMmdpInstance | int:
             _err(str(v))
         return EXIT_VALIDATION
     return m
-
-
-def _policy_to_document(policy: Policy) -> dict:
-    entries = [{"t": t, "state": list(s), "action": list(a)}
-               for (t, s), a in sorted(policy.entries.items())]
-    return {"schema_version": "1", "n_agents": policy.n_agents,
-            "entries": entries}
-
-
-def _policy_from_document(doc: dict) -> Policy:
-    entries = {(e["t"], tuple(e["state"])): tuple(e["action"])
-               for e in doc["entries"]}
-    return Policy(n_agents=doc["n_agents"], entries=entries)
 
 
 def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
@@ -146,9 +132,8 @@ def _cmd_solve(args) -> int:
         _err("state-space budget exceeded")
         return EXIT_RESOURCE
     if args.policy_out and policy is not None:
-        Path(args.policy_out).write_text(
-            formats.canonical_json(_policy_to_document(policy)),
-            encoding="utf-8")
+        Path(args.policy_out).write_text(formats.write_policy(policy),
+                                         encoding="utf-8")
     print(f"value {row.value:.17g}")
     return EXIT_OK
 
@@ -158,9 +143,9 @@ def _cmd_evaluate(args) -> int:
     if isinstance(m, int):
         return m
     try:
-        doc = json.loads(Path(args.policy).read_text(encoding="utf-8"))
-        policy = _policy_from_document(doc)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        policy = formats.read_policy(
+            Path(args.policy).read_text(encoding="utf-8"), m)
+    except (OSError, UnicodeDecodeError, formats.FormatError) as exc:
         _err(f"cannot read policy {args.policy}: {exc}")
         return EXIT_VALIDATION
     try:

@@ -105,13 +105,12 @@ def partition_rewards(m: TiMmdpInstance,
 
 
 class InstanceIndex:
-    """Caches of stage reachability, availability, the source states that
-    realize each table entry's slices, and interaction liveness. State
-    projections are compiled on the instance (``TiMmdpInstance.projection``).
-
-    Interaction liveness is compiled once per (agent, function) by one
-    backward sweep over the stages, and ``interaction_dead`` answers only
-    states in ``stage_reach`` at their stage; every caller asks about those.
+    """Caches of stage reachability, availability, the interaction
+    functions reading each agent, each function's slice index and
+    interaction liveness; state projections are compiled on the instance.
+    A slice index maps, per scope position, each projected (state, action,
+    next state) slice to the member's available (s, s') pairs realizing it,
+    and an entry is realizable when its every slice is in the index.
     """
 
     def __init__(self, m: TiMmdpInstance):
@@ -129,63 +128,77 @@ class InstanceIndex:
                     per_action.setdefault(a, []).append((s, dst))
             self.available.append(trs)
             self.by_action.append(per_action)
-        self._entry_sources: dict[tuple[int, tuple], tuple[frozenset, ...]] = {}
-        # (agent, function) -> per stage, the states it is alive from
-        self._alive: dict[tuple[int, int], list[set[int]]] = {}
+        self.touching = [tuple(k for k, rf in enumerate(m.rewards)
+                               if rf.is_interaction and i in rf.scope)
+                         for i in m.agents]
+        self._slices: dict[int, tuple[dict[tuple, set], ...]] = {}
+        # function -> scope agent -> per stage, the states it is alive from
+        self._alive: dict[int, dict[int, list[set[int]]]] = {}
 
-    def entry_sources(self, rf_index: int, key: tuple) -> tuple[frozenset, ...]:
-        """Per scope position, source states of available transitions matching
-        the entry's slice of this table key."""
-        cache_key = (rf_index, key)
-        if cache_key in self._entry_sources:
-            return self._entry_sources[cache_key]
-        rf = self.m.rewards[rf_index]
-        states, actions, nexts = key
-        out = []
-        for pos, agent in enumerate(rf.scope):
-            proj = self.m.projection(agent, rf.features_read(agent))
-            out.append(frozenset(
-                s for s, a, dst in self.available[agent]
-                if a == actions[pos] and proj[s] == states[pos]
-                and proj[dst] == nexts[pos]))
-        result = tuple(out)
-        self._entry_sources[cache_key] = result
-        return result
+    def slices(self, rf_index: int) -> tuple[dict[tuple, set], ...]:
+        """Per scope position, each projected slice -> the member's
+        available (s, s') pairs realizing it."""
+        maps = self._slices.get(rf_index)
+        if maps is None:
+            rf = self.m.rewards[rf_index]
+            maps = self._slices[rf_index] = tuple({} for _ in rf.scope)
+            for by_slice, agent in zip(maps, rf.scope):
+                proj = self.m.projection(agent, rf.features_read(agent))
+                for s, a, dst in self.available[agent]:
+                    by_slice.setdefault((proj[s], a, proj[dst]), set()).add(
+                        (s, dst))
+        return maps
 
     def interaction_dead(self, agent: int, state: int, stage: int,
                          rf_index: int) -> bool:
         """True when, from this local state onward, the interaction function
         can never yield a nonzero value no matter what any agent does.
 
-        Other agents are quantified over everything reachable from their
-        initial states at matching stages, so the answer holds for every
-        joint history putting this agent here - it depends on the local
-        state alone. One backward sweep per (agent, function) compiles the
-        answers for the states in ``stage_reach``: at stage x the function
-        fires from the agent's slice sources of each nonzero entry whose
-        every slice meets its member's ``stage_reach[x]``, and it is alive
-        from a state that fires or has an available transition to a state
-        alive at the next stage. A nonzero default is alive everywhere.
+        A slice is realizable at stage x when some pair under it starts in
+        its member's ``stage_reach[x]``, so other agents are quantified over
+        everything reachable at matching stages. At stage x an own slice
+        fires when some combination of realizable slices reads nonzero, the
+        default counting for unlisted ones: a listed nonzero entry fires its
+        own slice, and under a nonzero default so does an own slice listed
+        with fewer combinations than the other members' realizable slices
+        make. A state is alive when it is the source of a firing slice or
+        has an available transition to a state alive at the next stage. One
+        backward sweep per function compiles all members' answers for the
+        states in ``stage_reach``, the only states any caller asks about.
         """
-        rf = self.m.rewards[rf_index]
-        if rf.default != 0.0:
-            return False
-        alive = self._alive.get((agent, rf_index))
+        alive = self._alive.get(rf_index)
         if alive is None:
-            own, horizon = rf.scope.index(agent), self.m.horizon
-            alive = self._alive[(agent, rf_index)] = [
-                set() for _ in range(horizon + 1)]
-            for key, value in rf.table.items():
-                if value != 0.0:
-                    sources = self.entry_sources(rf_index, key)
-                    for x in range(horizon):
-                        if all(self.stage_reach[j][x] & sources[pos]
-                               for pos, j in enumerate(rf.scope)):
-                            alive[x] |= sources[own]
-            for t in range(horizon - 1, -1, -1):
-                alive[t] |= {s for s, _, dst in self.available[agent]
-                             if dst in alive[t + 1]}
-        return state not in alive[stage]
+            rf, horizon = self.m.rewards[rf_index], self.m.horizon
+            positions = range(len(rf.scope))
+            # per position, slice -> the source states realizing it
+            sources = [{sl: {s for s, _ in pairs} for sl, pairs in by.items()}
+                       for by in self.slices(rf_index)]
+            alive_at = [[set() for _ in range(horizon + 1)] for _ in positions]
+            for x in range(horizon):
+                live = [{sl for sl, src in sources[pos].items()
+                         if src & self.stage_reach[j][x]}
+                        for pos, j in enumerate(rf.scope)]
+                # per position, own slice -> realizable combinations listed
+                listed: list[dict[tuple, int]] = [{} for _ in positions]
+                for (states, actions, nexts), value in rf.table.items():
+                    parts = tuple(zip(states, actions, nexts))
+                    if all(sl in lv for lv, sl in zip(live, parts)):
+                        for pos, sl in enumerate(parts):
+                            listed[pos][sl] = listed[pos].get(sl, 0) + 1
+                            if value != 0.0:
+                                alive_at[pos][x] |= sources[pos][sl]
+                for pos in positions if rf.default != 0.0 else ():
+                    combos = math.prod(len(live[q]) for q in positions
+                                       if q != pos)
+                    for sl in live[pos]:
+                        if listed[pos].get(sl, 0) < combos:
+                            alive_at[pos][x] |= sources[pos][sl]
+            for sets, j in zip(alive_at, rf.scope):
+                for t in range(horizon - 1, -1, -1):
+                    sets[t] |= {s for s, _, dst in self.available[j]
+                                if dst in sets[t + 1]}
+            alive = self._alive[rf_index] = dict(zip(rf.scope, alive_at))
+        return state not in alive[agent][stage]
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +238,15 @@ def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
         pos_own = rf.scope.index(owner)
         proj_own = m.projection(owner, rf.features_read(owner))
         own_part = (proj_own[s_i], a_i, proj_own[n_i])
-        others = []
-        for pos, j in enumerate(rf.scope):
-            if j != owner:
-                proj = m.projection(j, rf.features_read(j))
-                others.append((pos, j, proj, set(proj)))
-        for key, value in rf.table.items():
-            states, actions, nexts = key
-            if (value == rf.default
-                    or (states[pos_own], actions[pos_own], nexts[pos_own])
-                    != own_part
-                    or not all(index.entry_sources(k, key))):
+        slices = index.slices(k)
+        others = [(pos, j, set(m.projection(j, rf.features_read(j))))
+                  for pos, j in enumerate(rf.scope) if j != owner]
+        for (states, actions, nexts), value in rf.table.items():
+            parts = tuple(zip(states, actions, nexts))
+            if (value == rf.default or parts[pos_own] != own_part
+                    or not all(sl in by for by, sl in zip(slices, parts))):
                 continue
-            for pos, j, proj, distinct in others:
+            for pos, j, distinct in others:
                 deps, pairs = result.setdefault(j, (set(), {}))
                 a_j = actions[pos]
                 if a_j not in deps and any(
@@ -247,8 +256,7 @@ def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
                         for b in range(len(m.locals[j].actions)) if b != a_j):
                     deps.add(a_j)
                 known = pairs.setdefault(a_j, set())
-                concrete = {(s, dst) for s, dst in index.by_action[j][a_j]
-                            if proj[s] == states[pos] and proj[dst] == nexts[pos]}
+                concrete = slices[pos][parts[pos]]
                 if concrete <= known:
                     continue
                 if any(rf.table.get((states[:pos] + (sp,) + states[pos + 1:],
@@ -268,18 +276,14 @@ def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
 class CrgArc:
     """One fully resolved leaf arc of a transition tree."""
 
-    target: int
-    labels: tuple
     components: tuple[float, ...]  # per assigned function, in g.functions order
     reward: float
-    nonzero_interactions: frozenset[int]
 
 
 @dataclass
 class TransitionTree:
     """Action tree plus influence trees for one local transition."""
 
-    transition: LocalTransition
     skeleton: tuple[tuple[str, int], ...]  # ("act"|"inf", agent) per level
     act_labels: dict[int, tuple]           # agent -> usable action labels
     deps: dict[int, frozenset[int]]
@@ -306,14 +310,11 @@ class TransitionTree:
 
 @dataclass
 class CrgNode:
-    state: int
-    layer: int
     kept_actions: tuple[int, ...]
     locally_cri: bool
     represented: bool = True
     upper: float = 0.0
     lower: float = 0.0
-    live_interactions: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -323,8 +324,6 @@ class ConditionalReturnGraph:
     functions: tuple[int, ...]
     scope: tuple[int, ...]
     feature_level: dict[int, tuple[str, ...] | None]
-    # other agent -> its states projected onto feature_level, by state id
-    projections: dict[int, tuple]
     nodes: dict[tuple[int, int], CrgNode]
     trees: dict[LocalTransition, TransitionTree]
     instance: TiMmdpInstance
@@ -399,7 +398,6 @@ def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
 
     # Paths are the product of the skeleton agents' classes.
     arcs: dict[tuple, CrgArc] = {}
-    interactions = {k for k in fns if m.rewards[k].is_interaction}
     for combo in product(*(completion[j] for j in inf_agents)):
         cls = dict(zip(inf_agents, combo))
         labels = (tuple(cls[j][0] for j in act_agents)
@@ -410,12 +408,8 @@ def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
             reward_value_local(m, m.rewards[k],
                                *zip(*(trs[q] for q in m.rewards[k].scope)))
             for k in fns)
-        nonzero = frozenset(
-            k for k, v in zip(fns, values) if v != 0.0 and k in interactions)
-        arcs[labels] = CrgArc(target=tr_i[2], labels=labels,
-                              components=values, reward=math.fsum(values),
-                              nonzero_interactions=nonzero)
-    return TransitionTree(transition=tr_i, skeleton=skeleton,
+        arcs[labels] = CrgArc(components=values, reward=math.fsum(values))
+    return TransitionTree(skeleton=skeleton,
                           act_labels=act_labels, deps=deps,
                           inf_labels=inf_labels, classes=classes, arcs=arcs)
 
@@ -484,11 +478,6 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             feature_level[j] = None
     projections = {j: m.projection(j, feature_level[j]) for j in others}
 
-    # Interaction functions anywhere in the instance that involve the owner
-    # drive the independence flag (not only the assigned ones).
-    touching = [k for k, rf in enumerate(m.rewards)
-                if rf.is_interaction and i in rf.scope]
-
     local = m.locals[i]
     reach = index.stage_reach[i]
     local_opt = _local_optimal_actions(m, index, i, fns)
@@ -497,13 +486,13 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     trees: dict[LocalTransition, TransitionTree] = {}
     for t in range(m.horizon + 1):
         for s in sorted(reach[t]):
-            cri = all(index.interaction_dead(i, s, t, k) for k in touching)
+            cri = all(index.interaction_dead(i, s, t, k)
+                      for k in index.touching[i])
             avail = tuple(local.available(s)) if t < m.horizon else ()
             kept = avail
             if cri and avail:
                 kept = (local_opt[(t, s)],)
-            nodes[(t, s)] = CrgNode(state=s, layer=t, kept_actions=kept,
-                                    locally_cri=cri)
+            nodes[(t, s)] = CrgNode(kept_actions=kept, locally_cri=cri)
             for a in avail:
                 for dst, _ in local.outcomes(s, a):
                     tr = (s, a, dst)
@@ -513,8 +502,8 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
 
     g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
                                scope=tuple(scope), feature_level=feature_level,
-                               projections=projections, nodes=nodes,
-                               trees=trees, instance=m, index=index)
+                               nodes=nodes, trees=trees, instance=m,
+                               index=index)
     _mark_represented(g)
     annotate_bounds(g)
     return g
@@ -546,7 +535,7 @@ def _mark_represented(g: ConditionalReturnGraph) -> None:
 
 
 def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
-    """One backward pass filling per-node return bounds and live functions.
+    """One backward pass filling per-node return bounds.
 
     The upper bound at a node is the best assigned return obtainable along
     represented arcs over *any* behavior of the other agents; the lower
@@ -555,10 +544,8 @@ def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
     for (t, s), node in sorted(g.nodes.items(), reverse=True):
         if t == g.horizon:
             node.upper = node.lower = 0.0
-            node.live_interactions = frozenset()
             continue
         hi = lo = None
-        live: set[int] = set()
         for a in node.kept_actions:
             for dst, _ in g.outcomes(s, a):
                 child = g.nodes[(t + 1, dst)]
@@ -567,11 +554,8 @@ def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
                     dn = arc.reward + child.lower
                     hi = up if hi is None else max(hi, up)
                     lo = dn if lo is None else min(lo, dn)
-                    live |= arc.nonzero_interactions
-                live |= child.live_interactions
         node.upper = hi if hi is not None else 0.0
         node.lower = lo if lo is not None else 0.0
-        node.live_interactions = frozenset(live)
     return g
 
 

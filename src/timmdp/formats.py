@@ -1,10 +1,10 @@
 """Stable text formats: instance JSON, result CSV and DOT graph export.
 
-Instances serialize to a canonical JSON form - sorted keys, LF line
-endings, ASCII-only escapes, numbers with up to 17 significant digits - so
-identical instances produce identical bytes. Reading is strict: unknown
-fields and version majors above ours are rejected with the path of the
-offending field.
+Instances and policies serialize to a canonical JSON form - sorted keys,
+LF line endings, ASCII-only escapes, numbers with up to 17 significant
+digits - so identical instances produce identical bytes. Reading is strict:
+unknown fields, fields of the wrong JSON kind and version majors above ours
+are rejected with the path of the offending field.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .model import (
     LocalAction,
     LocalMdp,
     LocalState,
+    Policy,
     RewardFunction,
     TiMmdpInstance,
 )
@@ -132,36 +133,68 @@ def _part_to_json(part):
     return part
 
 
-def _part_from_json(part, path: str):
-    if isinstance(part, dict):
-        _expect_fields(part, {"features"}, path)
-        return tuple(part["features"])
-    if isinstance(part, int) and not isinstance(part, bool):
-        return part
-    raise FormatError("state component must be an id or a feature object",
-                      path)
-
-
 def write_instance(m: TiMmdpInstance) -> str:
     """Canonical text for an instance; write then read is the identity."""
     return canonical_json(instance_to_document(m))
 
 
-def _expect_fields(obj: dict, allowed: set[str], path: str,
-                   required: set[str] | None = None) -> None:
-    if not isinstance(obj, dict):
+# The JSON kinds a field may take, as the types ``json`` parses them to
+# (a bool is no number), with their names in error messages; ANY is unchecked.
+INTEGER, NUMBER, STRING, LIST, OBJECT, ANY = (int,), (int, float), (str,), \
+    (list,), (dict,), ()
+OBJECT_OR_NULL, SCALAR = (dict, type(None)), (int, float, str, bool, type(None))
+_KIND_NAMES = {INTEGER: "an integer", NUMBER: "a number", STRING: "a string",
+               LIST: "a list", OBJECT: "an object",
+               OBJECT_OR_NULL: "an object or null", SCALAR: "a scalar"}
+
+
+def _fields(obj, kinds: dict, path: str, optional: tuple = ()) -> dict:
+    """``obj`` once it is an object with exactly the fields of ``kinds``
+    (``optional`` ones may be missing), each of its JSON kind."""
+    if type(obj) is not dict:
         raise FormatError("expected an object", path)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise FormatError(f"unknown field {sorted(unknown)[0]!r}", path)
-    for name in (required if required is not None else allowed):
-        if name not in obj:
+    if obj.keys() != kinds.keys():
+        for name in sorted(obj.keys() - kinds.keys()):
+            raise FormatError(f"unknown field {name!r}", path)
+        for name in sorted(kinds.keys() - obj.keys() - set(optional)):
             raise FormatError(f"missing field {name!r}", path)
+    for name, value in obj.items():
+        kind = kinds[name]
+        if kind and type(value) not in kind:
+            raise FormatError(f"expected {_KIND_NAMES[kind]}",
+                              f"{path}.{name}")
+    return obj
+
+
+def _items(values, kind: tuple, path: str) -> tuple:
+    """A list whose every item is of ``kind``, as a tuple."""
+    if type(values) is not list:
+        raise FormatError("expected a list", path)
+    for q, item in enumerate(values):
+        if type(item) not in kind:
+            raise FormatError(f"expected {_KIND_NAMES[kind]}", f"{path}[{q}]")
+    return tuple(values)
+
+
+def _parts(values: list, path: str) -> tuple:
+    """State components: ids, or feature objects as tuples of any values."""
+    parts = []
+    for q, part in enumerate(values):
+        if type(part) is not int:
+            if (type(part) is not dict or len(part) != 1
+                    or type(part.get("features")) is not list):
+                _fields(part, {"features": LIST}, f"{path}[{q}]")  # raises
+            part = tuple(part["features"])
+        parts.append(part)
+    return tuple(parts)
 
 
 def document_to_instance(doc: dict) -> TiMmdpInstance:
-    _expect_fields(doc, {"schema_version", "metadata", "horizon", "initial",
-                         "agents", "rewards"}, "$")
+    """Build an instance from a parsed document. Every field is checked for
+    its JSON kind; a mismatch raises FormatError with the field's path."""
+    _fields(doc, {"schema_version": ANY, "metadata": OBJECT,
+                  "horizon": INTEGER, "initial": LIST, "agents": LIST,
+                  "rewards": LIST}, "$")
     version = str(doc["schema_version"])
     major = version.split(".")[0]
     if not major.isdigit() or int(major) > int(SCHEMA_VERSION):
@@ -170,56 +203,78 @@ def document_to_instance(doc: dict) -> TiMmdpInstance:
     locals_ = []
     for i, block in enumerate(doc["agents"]):
         path = f"$.agents[{i}]"
-        _expect_fields(block, {"states", "actions", "transitions"}, path)
-        states = tuple(
-            LocalState(s["id"], dict(s["features"]))
-            for s in (_checked(s, {"id", "features"}, f"{path}.states[{k}]")
-                      for k, s in enumerate(block["states"])))
-        actions = tuple(
-            LocalAction(a["id"], a.get("label", ""))
-            for a in (_checked(a, {"id", "label"}, f"{path}.actions[{k}]",
-                               required={"id"})
-                      for k, a in enumerate(block["actions"])))
-        transitions = {}
+        _fields(block, {"states": LIST, "actions": LIST,
+                        "transitions": LIST}, path)
+        states, actions, transitions = [], [], {}
+        for k, st in enumerate(block["states"]):
+            spath = f"{path}.states[{k}]"
+            _fields(st, {"id": INTEGER, "features": OBJECT}, spath)
+            _fields(st["features"], dict.fromkeys(st["features"], SCALAR),
+                    f"{spath}.features")
+            states.append(LocalState(st["id"], dict(st["features"])))
+        for k, act in enumerate(block["actions"]):
+            _fields(act, {"id": INTEGER, "label": STRING},
+                    f"{path}.actions[{k}]", optional=("label",))
+            actions.append(LocalAction(act["id"], act.get("label", "")))
         for k, tr in enumerate(block["transitions"]):
             tpath = f"{path}.transitions[{k}]"
-            _expect_fields(tr, {"state", "action", "outcomes"}, tpath)
-            outs = tuple((dst, float(p)) for dst, p in tr["outcomes"])
-            transitions[(tr["state"], tr["action"])] = outs
-        locals_.append(LocalMdp(states=states, actions=actions,
+            _fields(tr, {"state": INTEGER, "action": INTEGER,
+                         "outcomes": LIST}, tpath)
+            for q, out in enumerate(tr["outcomes"]):
+                if type(out) is not list or list(map(type, out)) not in (
+                        [int, int], [int, float]):
+                    raise FormatError("expected a [state id, probability] "
+                                      "pair", f"{tpath}.outcomes[{q}]")
+            transitions[(tr["state"], tr["action"])] = tuple(
+                (dst, float(p)) for dst, p in tr["outcomes"])
+        locals_.append(LocalMdp(states=tuple(states), actions=tuple(actions),
                                 transitions=transitions))
     rewards = []
     for k, block in enumerate(doc["rewards"]):
         path = f"$.rewards[{k}]"
-        _expect_fields(block, {"scope", "default", "feature_scope", "entries"},
-                       path, required={"scope", "entries"})
-        scope = tuple(block["scope"])
-        feature_scope = None
-        if block.get("feature_scope") is not None:
-            feature_scope = {int(j): tuple(f)
-                             for j, f in block["feature_scope"].items()}
+        _fields(block, {"scope": LIST, "default": NUMBER,
+                        "feature_scope": OBJECT_OR_NULL, "entries": LIST},
+                path, optional=("default", "feature_scope"))
+        feature_scope = block.get("feature_scope")
+        if feature_scope is not None:
+            if not all(j.isdigit() for j in feature_scope):
+                raise FormatError("agent keys must be ids",
+                                  f"{path}.feature_scope")
+            feature_scope = {
+                int(j): _items(f, STRING, f"{path}.feature_scope.{j}")
+                for j, f in feature_scope.items()}
         table = {}
         for e_idx, entry in enumerate(block["entries"]):
             epath = f"{path}.entries[{e_idx}]"
-            _expect_fields(entry, {"states", "actions", "next_states",
-                                   "value"}, epath)
-            key = (tuple(_part_from_json(p, epath) for p in entry["states"]),
-                   tuple(entry["actions"]),
-                   tuple(_part_from_json(p, epath)
-                         for p in entry["next_states"]))
-            table[key] = entry["value"]
-        rewards.append(RewardFunction(scope=scope, table=table,
-                                      default=block.get("default", 0.0),
-                                      feature_scope=feature_scope))
+            _fields(entry, {"states": LIST, "actions": LIST,
+                            "next_states": LIST, "value": NUMBER}, epath)
+            key = (_parts(entry["states"], f"{epath}.states"),
+                   _items(entry["actions"], INTEGER, f"{epath}.actions"),
+                   _parts(entry["next_states"], f"{epath}.next_states"))
+            try:
+                table[key] = entry["value"]
+            except TypeError:  # unhashable: a feature value is no scalar
+                raise FormatError("expected scalar feature values",
+                                  epath) from None
+        rewards.append(RewardFunction(
+            scope=_items(block["scope"], INTEGER, f"{path}.scope"),
+            table=table, default=block.get("default", 0.0),
+            feature_scope=feature_scope))
     return TiMmdpInstance(
         locals=tuple(locals_), rewards=rewards, horizon=doc["horizon"],
-        initial=tuple(doc["initial"]), metadata=dict(doc.get("metadata", {})))
+        initial=_items(doc["initial"], INTEGER, "$.initial"),
+        metadata=dict(doc["metadata"]))
 
 
-def _checked(obj: dict, allowed: set[str], path: str,
-             required: set[str] | None = None) -> dict:
-    _expect_fields(obj, allowed, path, required)
-    return obj
+def _parse(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"parse error at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise FormatError("top level must be an object", "$")
+    return doc
 
 
 def read_instance(text: str) -> TiMmdpInstance:
@@ -228,14 +283,44 @@ def read_instance(text: str) -> TiMmdpInstance:
     Parsing and validation are separate: a document can parse fine and
     still fail ``validate_instance``.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"parse error at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("top level must be an object", "$")
-    return document_to_instance(doc)
+    return document_to_instance(_parse(text))
+
+
+# ---------------------------------------------------------------------------
+# Policy documents
+
+
+def write_policy(policy: Policy) -> str:
+    entries = [{"t": t, "state": list(s), "action": list(a)}
+               for (t, s), a in sorted(policy.entries.items())]
+    return canonical_json({"schema_version": SCHEMA_VERSION,
+                           "n_agents": policy.n_agents, "entries": entries})
+
+
+def read_policy(text: str, m: TiMmdpInstance) -> Policy:
+    """Parse a policy document for instance ``m``: one state id and one
+    action id per agent in every entry, each action available in its
+    agent's state. Errors carry the field path."""
+    doc = _fields(_parse(text), {"schema_version": ANY, "n_agents": INTEGER,
+                                 "entries": LIST}, "$",
+                  optional=("schema_version",))
+    if doc["n_agents"] != m.n_agents:
+        raise FormatError(f"expected {m.n_agents} agents", "$.n_agents")
+    entries = {}
+    for k, entry in enumerate(doc["entries"]):
+        path = f"$.entries[{k}]"
+        _fields(entry, {"t": INTEGER, "state": LIST, "action": LIST}, path)
+        state = _items(entry["state"], INTEGER, f"{path}.state")
+        action = _items(entry["action"], INTEGER, f"{path}.action")
+        if not len(state) == len(action) == m.n_agents:
+            raise FormatError(f"expected one state and one action id per "
+                              f"agent ({m.n_agents})", path)
+        for i, (s, a) in enumerate(zip(state, action)):
+            if (s, a) not in m.locals[i].transitions:
+                raise FormatError(f"agent {i} has no action {a} in state {s}",
+                                  f"{path}.action[{i}]")
+        entries[(entry["t"], state)] = action
+    return Policy(n_agents=m.n_agents, entries=entries)
 
 
 # ---------------------------------------------------------------------------

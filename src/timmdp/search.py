@@ -181,11 +181,6 @@ class _Search:
         self.rewards: dict = {}
         # (t, agent, state) -> {action: expected child (upper, lower)}
         self.children: dict = {}
-        # per agent: (interaction functions reading it, those it owns)
-        self.touching = [
-            (tuple(k for k, rf in enumerate(m.rewards)
-                   if rf.is_interaction and i in rf.scope),
-             frozenset(crgs[i].functions)) for i in m.agents]
         self.signatures: dict = {}   # (t, agent, state) -> signature
         self.classes: dict = {}      # (t, agent, state, action) -> classes
         self.deadline = (time.monotonic() + cfg.time_budget
@@ -317,20 +312,15 @@ class _Search:
                 math.fsum(p * c.lower for p, c in children))
 
     def _signature(self, t: int, i: int, state: int) -> frozenset:
-        """The interaction functions agent i leaves able to link at stage t
-        from this state: none dead from its state, and those it owns also
-        live at its graph node."""
+        """The interaction functions reading agent i that are not dead from
+        its state at stage t (``InstanceIndex.interaction_dead``)."""
         key = (t, i, state)
         sig = self.signatures.get(key)
         if sig is None:
-            g = self.crgs[i]
-            touching, owned = self.touching[i]
-            live = g.nodes[(t, state)].live_interactions
-            found = frozenset(
-                k for k in touching
-                if (k in live or k not in owned)
-                and not g.index.interaction_dead(i, state, t, k))
-            sig = self.signatures[key] = found
+            index = self.crgs[i].index
+            sig = self.signatures[key] = frozenset(
+                k for k in index.touching[i]
+                if not index.interaction_dead(i, state, t, k))
         return sig
 
     def _outcome_classes(self, t: int, i: int, state: int,

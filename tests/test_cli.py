@@ -62,6 +62,41 @@ class TestSolve:
         capsys.readouterr()
         assert code == 4
 
+    @pytest.mark.parametrize("where, edit", [
+        ("$.agents", lambda doc: doc.update(agents=5)),
+        ("$.initial", lambda doc: doc.update(initial=0)),
+        ("$.rewards[0].entries[0].actions",
+         lambda doc: doc["rewards"][0]["entries"][0].update(actions=3)),
+        ("$.agents[0].transitions[0].outcomes[0]",
+         lambda doc: doc["agents"][0]["transitions"][0].update(
+             outcomes=[[1]])),
+        ("$.horizon", lambda doc: doc.update(horizon="3")),
+        ("$.rewards[0].entries[0].value",
+         lambda doc: doc["rewards"][0]["entries"][0].update(value="x")),
+        ("$.agents[0].transitions[0].state",
+         lambda doc: doc["agents"][0]["transitions"][0].update(state=[0])),
+        ("$.rewards[0].feature_scope",
+         lambda doc: doc["rewards"][0].update(feature_scope=5)),
+        ("$.agents[1].states[0].features.x",
+         lambda doc: doc["agents"][1]["states"][0]["features"].update(
+             x=[1])),
+        ("$.rewards[2].entries[0]",  # a feature value that is no scalar
+         lambda doc: doc["rewards"][2]["entries"][0]["states"][1].update(
+             features=[[1]])),
+    ])
+    def test_wrong_typed_field_exits_3_naming_it(self, tmp_path, capsys,
+                                                 where, edit):
+        doc = json.loads(write_instance(example_two_agent()))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(["solve", "--algorithm", "core",
+                        "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"(at {where})" in captured.err
+        assert captured.out == ""
+
     def test_stats_file_written(self, tmp_path, capsys):
         path = _write_example(tmp_path)
         stats = tmp_path / "stats.csv"
@@ -206,6 +241,29 @@ class TestEvaluate:
         assert run_cli(["evaluate", "--instance", str(path),
                         "--policy", str(policy)]) == 3
         assert "stage 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message, edit", [
+        ("top level must be an object", lambda doc: []),
+        ("(at $.entries[0].state)",
+         lambda doc: doc["entries"][0].update(state=0) or doc),
+        ("one state and one action id per agent (2) (at $.entries[0])",
+         lambda doc: doc["entries"][0].update(action=[0]) or doc),
+        ("agent 0 has no action 9 in state 0 (at $.entries[0].action[0])",
+         lambda doc: doc["entries"][0].update(action=[9, 9]) or doc),
+    ])
+    def test_malformed_policy_exits_3_with_a_message(self, tmp_path, capsys,
+                                                     message, edit):
+        path = _write_example(tmp_path)
+        policy = tmp_path / "policy.json"
+        assert run_cli(["solve", "--algorithm", "core", "--instance",
+                        str(path), "--policy-out", str(policy)]) == 0
+        capsys.readouterr()
+        doc = edit(json.loads(policy.read_text(encoding="utf-8")))
+        policy.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["evaluate", "--instance", str(path),
+                        "--policy", str(policy)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 class TestExportDot:

@@ -31,6 +31,7 @@ from util import (
     bf_influence_set,
     bf_interaction_alive,
     random_instance,
+    reference_live,
     with_interaction_default,
 )
 
@@ -47,6 +48,32 @@ def small_instances(draw):
     return with_interaction_default(
         m, default=draw(st.sampled_from((0.0, 0.0, -2.0, 1.0, 3.5))),
         shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
+
+
+@st.composite
+def liveness_draws(draw):
+    """Plain, feature-scoped, layered (interactions confined to early
+    stages), nonzero-default and zero-entry draws of two or three agents."""
+    variant = draw(st.sampled_from(("plain", "feature_scoped", "layered",
+                                    "default", "zeroed")))
+    layered = variant == "layered"
+    m = random_instance(draw(st.integers(0, 2**32 - 1)),
+                        n_agents=draw(st.sampled_from((2, 3))),
+                        n_interactions=2,
+                        feature_scoped=variant == "feature_scoped",
+                        layered=layered,
+                        interaction_horizon=(draw(st.integers(1, 3))
+                                             if layered else None))
+    if variant == "default":
+        m = with_interaction_default(
+            m, default=draw(st.sampled_from((0.0, -2.0, 1.0))),
+            shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
+    if variant == "zeroed":  # zero-valued entries never fire
+        for rf in m.rewards:
+            if rf.is_interaction:
+                for key in sorted(rf.table, key=repr)[::2]:
+                    rf.table[key] = 0.0
+    return m
 
 
 def crg_reward_sum(m, crgs, t, s, a, s2):
@@ -183,7 +210,7 @@ class TestInfluenceSet:
                 for j in (q for q in g.scope if q != i):
                     deps = bf_dependent_actions(m, fns, i, tr, j)
                     assert tree.deps[j] == deps, (i, tr, j)
-                    proj = g.projections[j]
+                    proj = m.projection(j, g.feature_level[j])
                     wildcard = {
                         (proj[s], proj[dst])
                         for a in range(len(m.locals[j].actions))
@@ -264,7 +291,7 @@ class TestBuild:
                             a for a in range(len(m.locals[j].actions))
                             if a not in tree.deps[j] and by_action[j].get(a)]
                         labels = tree.inf_labels.get((j, WILDCARD), ())
-                        proj = g.projections[j]
+                        proj = m.projection(j, g.feature_level[j])
                         rewards = set()
                         for a in nondep:
                             for s_j, n_j in by_action[j][a]:
@@ -292,7 +319,7 @@ class TestClassProduct:
                 assert sorted(tree.classes) == agents, (name, i, tr_i)
                 per_agent = {}
                 for j in agents:
-                    proj = g.projections[j]
+                    proj = m.projection(j, g.feature_level[j])
                     want = {}
                     for tr in available_transitions(m, j):
                         act = tr[1] if tr[1] in tree.deps[j] else WILDCARD
@@ -311,15 +338,17 @@ class TestClassProduct:
                     paths.add(tuple(cls[j][0] for j in acts)
                               + tuple(cls[j][1] for j in agents))
                 assert set(tree.arcs) == paths, (name, i, tr_i)
+                labels_of = {id(arc): labels
+                             for labels, arc in tree.arcs.items()}
                 for j in agents:
                     levels = [(depth, kind)
                               for depth, (kind, q) in enumerate(tree.skeleton)
                               if q == j]
                     for tr in available_transitions(m, j):
-                        arc = resolve_arc(g, tr_i, {j: tr})
+                        labels = labels_of[id(resolve_arc(g, tr_i, {j: tr}))]
                         act, pair = tree.classes[j][tr]
                         for depth, kind in levels:
-                            assert arc.labels[depth] == (
+                            assert labels[depth] == (
                                 act if kind == "act" else pair), (name, tr)
 
 
@@ -437,31 +466,11 @@ class TestLocalCri:
 
 
     @settings(deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
-           variant=st.sampled_from(("plain", "feature_scoped", "layered",
-                                    "default", "zeroed")),
-           interaction_horizon=st.integers(1, 3),
-           default=st.sampled_from((0.0, -2.0, 1.0)),
-           shift=st.sampled_from((0.0, 2.0, -1.0)))
-    def test_interaction_dead_matches_exhaustive_sweep_per_function(
-            self, seed, n_agents, variant, interaction_horizon, default,
-            shift):
+    @given(m=liveness_draws())
+    def test_interaction_dead_matches_exhaustive_sweep_per_function(self, m):
         """Each function's deadness, not only the conjunction the flag
         takes, agrees with the brute-force sweep at every reachable state,
         on plain, feature-scoped, layered, defaulted and zero-entry draws."""
-        layered = variant == "layered"
-        m = random_instance(seed, n_agents=n_agents, n_interactions=2,
-                            feature_scoped=variant == "feature_scoped",
-                            layered=layered,
-                            interaction_horizon=(interaction_horizon
-                                                 if layered else None))
-        if variant == "default":
-            m = with_interaction_default(m, default=default, shift=shift)
-        if variant == "zeroed":  # zero-valued entries never fire
-            for rf in m.rewards:
-                if rf.is_interaction:
-                    for key in sorted(rf.table, key=repr)[::2]:
-                        rf.table[key] = 0.0
         index = InstanceIndex(m)
         for k, rf in enumerate(m.rewards):
             if not rf.is_interaction:
@@ -474,46 +483,57 @@ class TestLocalCri:
                             (k, i, t, s)
 
 
+    @settings(deadline=None)
+    @given(m=liveness_draws())
+    def test_owned_and_not_dead_is_in_the_reference_live_set(self, m):
+        """At every node, an owned interaction that ``interaction_dead``
+        leaves alive from the node's state has a nonzero arc below it along
+        kept actions: the search may read liveness from deadness alone."""
+        for i, g in build_crgs(m).items():
+            live = reference_live(g)
+            owned = [k for k in g.functions if m.rewards[k].is_interaction]
+            for (t, s) in g.nodes:
+                for k in owned:
+                    if not g.index.interaction_dead(i, s, t, k):
+                        assert k in live[(t, s)], (i, t, s, k)
+
+
 class TestInteractionReachable:
-    """A function missing from a node's ``live_interactions`` can no longer
-    produce a nonzero arc anywhere below that node."""
+    """A function ``interaction_dead`` calls dead from a scope member's
+    state can no longer produce a nonzero value in any joint future."""
 
     def test_false_at_horizon(self):
-        m = example_two_agent()
-        crgs = build_crgs(m, partition_rewards(m, example_partition()))
+        """No function is alive at the last layer."""
+        index = InstanceIndex(example_two_agent())
         for s in (5, 6, 7, 8, 9):
-            assert not crgs[1].node(2, s).live_interactions
+            assert index.interaction_dead(1, s, 2, 2)
 
     def test_worked_example_after_joint_ba(self):
-        m = example_two_agent()
-        crgs = build_crgs(m, partition_rewards(m, example_partition()))
+        index = InstanceIndex(example_two_agent())
         # joint action (b, a): agent 1 lands in state 1 with a used up
-        assert 2 not in crgs[1].node(1, 1).live_interactions
-        assert 2 in crgs[1].node(1, 2).live_interactions
+        assert index.interaction_dead(1, 1, 1, 2)
+        assert not index.interaction_dead(1, 2, 1, 2)
 
     def test_sound_against_exhaustive_future_sweep(self):
         from util import bf_joint_future_fires
 
-        not_live = 0
+        dead = 0
         for seed in range(15):
             # interactions confined to early stages go dead on many branches
             m = random_instance(seed, n_agents=2 + seed % 2,
                                 n_interactions=1 + (seed // 2) % 2,
                                 layered=True, interaction_horizon=2)
-            part = partition_rewards(m)
-            crgs = build_crgs(m, part)
+            index = InstanceIndex(m)
             states = {(t, s) for t, s, _, _, _ in all_joint_transitions(m)}
             for t, s in sorted(states):
                 for k, rf in enumerate(m.rewards):
-                    if not rf.is_interaction:
-                        continue
-                    owner = next(i for i in m.agents
-                                 if k in part.functions(i))
-                    if k not in crgs[owner].node(t, s[owner]).live_interactions:
-                        not_live += 1
+                    if rf.is_interaction and any(
+                            index.interaction_dead(j, s[j], t, k)
+                            for j in rf.scope):
+                        dead += 1
                         assert not bf_joint_future_fires(m, k, t, s), \
                             (seed, k, t, s)
-        assert not_live > 0
+        assert dead > 0
 
 
 class TestAssignedReward:
@@ -544,9 +564,7 @@ class TestAssignedReward:
                 parts = tuple(data.draw(st.lists(
                     values, min_size=len(g.functions),
                     max_size=len(g.functions))))
-                arcs.append(CrgArc(target=0, labels=(), components=parts,
-                                   reward=math.fsum(parts),
-                                   nonzero_interactions=frozenset()))
+                arcs.append(CrgArc(components=parts, reward=math.fsum(parts)))
             assert cover_mask(g, m.agents) is None
             for covered in covers:
                 keep = cover_mask(g, sorted(covered))

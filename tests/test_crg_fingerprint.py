@@ -2,12 +2,15 @@
 
 Each case builds every agent's graph for one fixed instance and hashes all
 of it that construction decides: per node the kept actions, the
-independence flag, representation, both bounds and the live interactions;
-per transition tree the skeleton, dependent actions, action and influence
-labels, and per leaf arc its labels, target, components, reward and nonzero
-interactions. Containers are sorted by ``repr`` so the digest does not
-depend on insertion order. Any change to how graphs are built must
-reproduce these digests bit for bit.
+independence flag, representation, both bounds and the reference live
+interactions (``util.reference_live``); per transition tree the skeleton,
+dependent actions, action and influence labels, and per leaf arc its
+labels, target state, components, reward and nonzero interactions. The
+labels and the target are hashed twice, in the layout of a time when arcs
+stored them, and the live and nonzero interactions are read off the arcs,
+so the digests recorded then still apply. Containers are sorted by
+``repr`` so the digest does not depend on insertion order. Any change to
+how graphs are built must reproduce these digests bit for bit.
 """
 
 import hashlib
@@ -26,7 +29,12 @@ from timmdp.domains import (
 )
 from timmdp.rng import stream
 
-from util import random_instance, with_interaction_default
+from util import (
+    nonzero_interactions,
+    random_instance,
+    reference_live,
+    with_interaction_default,
+)
 
 
 def _sorted(items):
@@ -34,15 +42,16 @@ def _sorted(items):
 
 
 def graph_fingerprint(g) -> tuple:
+    live = reference_live(g)
     nodes = tuple(
         (key, node.kept_actions, node.locally_cri, node.represented,
-         repr(node.upper), repr(node.lower), _sorted(node.live_interactions))
+         repr(node.upper), repr(node.lower), _sorted(live[key]))
         for key, node in sorted(g.nodes.items()))
     trees = []
     for tr, tree in sorted(g.trees.items()):
         arcs = tuple(
-            (labels, arc.target, arc.labels, repr(arc.components),
-             repr(arc.reward), _sorted(arc.nonzero_interactions))
+            (labels, tr[2], labels, repr(arc.components),
+             repr(arc.reward), _sorted(nonzero_interactions(g, arc)))
             for labels, arc in sorted(tree.arcs.items(),
                                       key=lambda item: repr(item[0])))
         trees.append((
@@ -150,10 +159,10 @@ EXPECTED = {
     "random-5": "d7bb40860cbcc2ca",
     "random-6": "380c93a38a1083b5",
     "random-7": "ba6126939c4fef6b",
-    "random-default-0": "69f05e858f6b95ce",
-    "random-default-1": "4cf46ce352e1fa7b",
-    "random-default-2": "46faca6e83e94506",
-    "random-default-3scope-4": "162a9423d384d280",
+    "random-default-0": "30298924a623b994",
+    "random-default-1": "8cac046c1815ac37",
+    "random-default-2": "5bf4a47c06a356f5",
+    "random-default-3scope-4": "03a7150eb182f61b",
 }
 
 

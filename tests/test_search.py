@@ -21,7 +21,22 @@ from util import (
     random_instance,
     row_product,
     table_value,
+    with_interaction_default,
 )
+
+
+@st.composite
+def search_draws(draw):
+    """Two or three agents over three stages, with and without feature
+    scopes, and with interaction defaults of 0, -2 or 1."""
+    n_agents = draw(st.sampled_from((2, 3)))
+    three = n_agents == 3
+    m = random_instance(draw(st.integers(0, 2**32 - 1)), n_agents=n_agents,
+                        horizon=3, max_states=3 if three else 4,
+                        max_actions=2 if three else 3,
+                        feature_scoped=draw(st.booleans()))
+    default = draw(st.sampled_from((0.0, -2.0, 1.0)))
+    return with_interaction_default(m, default) if default else m
 
 
 class TestCoreSolve:
@@ -132,15 +147,8 @@ class TestPruningSafety:
                     for t, comp, states in report.trace), (seed, pruning)
 
     @settings(deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
-           feature_scoped=st.booleans())
-    def test_core_crg_ps_and_dp_agree_on_random_draws(self, seed, n_agents,
-                                                      feature_scoped):
-        three = n_agents == 3
-        m = random_instance(seed, n_agents=n_agents, horizon=3,
-                            max_states=3 if three else 4,
-                            max_actions=2 if three else 3,
-                            feature_scoped=feature_scoped)
+    @given(m=search_draws())
+    def test_core_crg_ps_and_dp_agree_on_random_draws(self, m):
         crgs = build_crgs(m)
         dp = dp_solve(m).value
         core = core_solve(m, crgs)
@@ -211,18 +219,11 @@ class TestPruningSafety:
             assert history == sorted(history)
 
     @settings(deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.sampled_from((2, 3)),
-           feature_scoped=st.booleans())
-    def test_factored_walk_matches_the_row_product(self, seed, n_agents,
-                                                   feature_scoped):
+    @given(m=search_draws())
+    def test_factored_walk_matches_the_row_product(self, m):
         """At every table entry, every kept action's scope-local bounds and
         its value split over next-stage parts agree with the sums over the
         full product of the component's outcomes."""
-        three = n_agents == 3
-        m = random_instance(seed, n_agents=n_agents, horizon=3,
-                            max_states=3 if three else 4,
-                            max_actions=2 if three else 3,
-                            feature_scoped=feature_scoped)
         crgs = build_crgs(m)
         search = _Search(m, crgs, SearchConfig(pruning=False))
         search.solve(0, tuple(m.agents), tuple(m.initial))
@@ -272,11 +273,10 @@ class TestComponents:
         comps = independent_components(m, crgs, 0, m.initial)
         assert comps == [tuple(range(7))]
 
-    def test_owned_function_alive_but_never_nonzero_does_not_link(self):
-        """A nonzero default keeps an interaction alive in
-        ``interaction_dead``, but a zero entry for every joint transition
-        of its scope leaves no nonzero arc in its owner's graph: the
-        function is not live at the owner's nodes, so it links nothing."""
+    def test_owned_function_with_a_default_but_never_nonzero_is_dead(self):
+        """A zero entry for every joint transition of its scope leaves a
+        function's nonzero default unreachable, so ``interaction_dead``
+        calls the function dead from the start and it links nothing."""
         from timmdp.baselines import dp_solve
         from timmdp.crg import InstanceIndex
         from util import available_transitions
@@ -288,7 +288,7 @@ class TestComponents:
         rf.table = {tuple(zip(*trs)): 0.0 for trs in product(
             *(available_transitions(m, j) for j in rf.scope))}
         assert rf.scope == (0, 1)
-        assert not InstanceIndex(m).interaction_dead(0, m.initial[0], 0, k)
+        assert InstanceIndex(m).interaction_dead(0, m.initial[0], 0, k)
         crgs = build_crgs(m)
         dp = dp_solve(m).value
         for pruning in (True, False):

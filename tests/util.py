@@ -1,8 +1,9 @@
 """Shared test helpers: seeded random instances, brute-force oracles,
 execution sequences and the best open-loop plan, the full row-product
 reference for the search's factored bounds and values, the reference
-partition ``components`` that the search's signature partitions are checked
-against, and small queries of the search and of policies.
+liveness ``reference_live`` read off each graph's arcs, the reference
+partition ``components`` built on it that the search's signature partitions
+are checked against, and small queries of the search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
@@ -13,6 +14,7 @@ and the search's own functions.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -20,6 +22,7 @@ from typing import Iterator, Mapping, Sequence
 from timmdp.baselines import DpResult
 from timmdp.crg import (
     ConditionalReturnGraph,
+    CrgArc,
     assigned_reward,
     cover_mask,
     resolve_arc,
@@ -328,8 +331,6 @@ def bf_interaction_alive(m: TiMmdpInstance, rf_index: int, agent: int,
     """Can the function still fire, over all stage-consistent joint futures,
     given only this agent's local position?"""
     rf = m.rewards[rf_index]
-    if rf.default != 0.0:
-        return True
     own = _bf_reach(m, agent, state, stage)
     others = {q: _bf_reach(m, q, m.initial[q], 0)
               for q in rf.scope if q != agent}
@@ -614,21 +615,55 @@ def joint_action_bounds(crgs, t: int, agents, states,
     return lower, upper
 
 
+def nonzero_interactions(g: ConditionalReturnGraph,
+                         arc: CrgArc) -> frozenset[int]:
+    """The interaction functions among the graph's own with a nonzero
+    component on this arc."""
+    rewards = g.instance.rewards
+    return frozenset(k for k, v in zip(g.functions, arc.components)
+                     if v != 0.0 and rewards[k].is_interaction)
+
+
+_REFERENCE_LIVE: dict[int, dict] = {}
+
+
+def reference_live(g: ConditionalReturnGraph,
+                   ) -> dict[tuple[int, int], frozenset[int]]:
+    """Per node (t, s), the graph's own interaction functions with a nonzero
+    arc somewhere below it along kept actions, by one backward union over
+    the arcs; layer-h nodes have none. Stage-free, and so independent of
+    ``InstanceIndex.interaction_dead``. Compiled once per graph."""
+    live = _REFERENCE_LIVE.get(id(g))
+    if live is None:
+        live = _REFERENCE_LIVE[id(g)] = {}
+        weakref.finalize(g, _REFERENCE_LIVE.pop, id(g), None)
+        for (t, s), node in sorted(g.nodes.items(), reverse=True):
+            found: set[int] = set()
+            if t < g.horizon:
+                for a in node.kept_actions:
+                    for dst, _ in g.outcomes(s, a):
+                        for arc in g.trees[(s, a, dst)].arcs.values():
+                            found |= nonzero_interactions(g, arc)
+                        found |= live[(t + 1, dst)]
+            live[(t, s)] = frozenset(found)
+    return live
+
+
 def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
                agents: Sequence[int],
                states: Mapping[int, int]) -> list[tuple[int, ...]]:
     """Connected components of the still-interacting relation.
 
     A function links its scope only while a nonzero arc of it remains
-    reachable in its owner's graph and no member's local state already
-    rules it out. Both tests depend on the current states alone, so the
-    partition can only refine along a branch.
+    reachable in its owner's graph (``reference_live``) and no member's
+    local state already rules it out. Both tests depend on the current
+    states alone, so the partition can only refine along a branch.
     """
     agent_set = set(agents)
     links = []
     for i in agents:
         g = crgs[i]
-        for k in g.nodes[(t, states[i])].live_interactions:
+        for k in reference_live(g)[(t, states[i])]:
             scope = g.instance.rewards[k].scope
             if set(scope) <= agent_set and not any(
                     g.index.interaction_dead(j, states[j], t, k)
