@@ -33,14 +33,9 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_instance(path: str) -> TiMmdpInstance:
-    text = Path(path).read_text(encoding="utf-8")
-    return formats.read_instance(text)
-
-
 def _load_valid_instance(path: str) -> TiMmdpInstance | int:
     try:
-        m = _load_instance(path)
+        m = formats.read_instance(Path(path).read_text(encoding="utf-8"))
     except (OSError, formats.FormatError) as exc:
         _err(f"cannot read instance {path}: {exc}")
         return EXIT_VALIDATION
@@ -169,10 +164,10 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _bench_job(job: tuple[str, str, float | None]) -> formats.ResultRow:
-    path, algorithm, time_limit = job
-    row, _ = _solve_once(Path(path).stem, _load_instance(path), algorithm,
-                         time_limit)
+def _bench_job(job: tuple[str, TiMmdpInstance, str, float | None],
+               ) -> formats.ResultRow:
+    name, m, algorithm, time_limit = job
+    row, _ = _solve_once(name, m, algorithm, time_limit)
     return row
 
 
@@ -186,12 +181,15 @@ def _cmd_bench(args) -> int:
         if a not in ALGORITHMS:
             _err(f"unknown algorithm {a!r}")
             return EXIT_USAGE
+    # Each file is read and validated once; its jobs share the instance.
+    instances = []
     for path in paths:
         m = _load_valid_instance(path)
         if isinstance(m, int):
             return m
-    jobs = [(path, a, args.time_limit)
-            for path in paths for a in algorithms]
+        instances.append((Path(path).stem, m))
+    jobs = [(name, m, a, args.time_limit)
+            for name, m in instances for a in algorithms]
     if args.jobs > 1:
         import multiprocessing
 

@@ -4,17 +4,23 @@ Each agent owns a disjoint share of the reward functions. Its graph is a
 layered DAG over its reachable local states; every local transition carries a
 small tree that discriminates exactly those actions and state moves of other
 agents that can change the assigned rewards: their dependent actions and
-influential state pairs, which ``transition_influence`` finds in one pass over
-the matching table entries. Everything else is grouped behind an "any other
-action" wildcard arc and an "any other state pair" no-influence arc, both of
-which pin the interaction contribution to zero. Under a tree, each available
-transition of another agent takes one class, the (action label, influence
-label) pair its action and state pair fall under, and the tree's leaf arcs
-are the product of its agents' classes. Each leaf arc is priced through one
-completion per other agent, the first available transition of its class,
-and enters the next layer labeled with the fully resolved reward, which is
-what makes recursive return bounds cheap; resolving an arc during search is
-one class lookup per tree level.
+influential state pairs, which ``transition_influence`` reads off an entry
+index. The index holds, once per function and owner, the realizable
+non-default table entries keyed by the owner's slice, each with its other
+members' dependent-action and influence flags, so a transition's influence is
+the union over the few entries under its slices. Everything else is grouped
+behind an "any other action" wildcard arc and an "any other state pair"
+no-influence arc, both of which pin the interaction contribution to zero.
+Under a tree, each available transition of another agent takes one class,
+the (action label, influence label) pair its action and state pair fall
+under, and the tree's leaf arcs are the product of its agents' classes. An
+agent's labels, class map and completions form one record per distinct
+influence, shared by every tree of the graph that has it. Each leaf arc is
+priced through one completion per other agent, the first available
+transition of its class, with each function's table key read straight off
+the compiled projections, and enters the next layer labeled with the fully
+resolved reward, which is what makes recursive return bounds cheap;
+resolving an arc during search is one class lookup per tree level.
 """
 
 from __future__ import annotations
@@ -22,13 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .model import (
-    TiMmdpInstance,
-    reachable_local_states,
-    reward_value_local,
-)
+from .model import TiMmdpInstance, reachable_local_states
 
 WILDCARD = "*"
 NO_INFLUENCE = "⊥"
@@ -106,11 +108,12 @@ def partition_rewards(m: TiMmdpInstance,
 
 class InstanceIndex:
     """Caches of stage reachability, availability, the interaction
-    functions reading each agent, each function's slice index and
-    interaction liveness; state projections are compiled on the instance.
-    A slice index maps, per scope position, each projected (state, action,
-    next state) slice to the member's available (s, s') pairs realizing it,
-    and an entry is realizable when its every slice is in the index.
+    functions reading each agent, each function's slice and entry indices,
+    its direct pricing key and interaction liveness; state projections are
+    compiled on the instance. A slice index maps, per scope position, each
+    projected (state, action, next state) slice to the member's available
+    (s, s') pairs realizing it, and an entry is realizable when its every
+    slice is in the index.
     """
 
     def __init__(self, m: TiMmdpInstance):
@@ -132,6 +135,10 @@ class InstanceIndex:
                                if rf.is_interaction and i in rf.scope)
                          for i in m.agents]
         self._slices: dict[int, tuple[dict[tuple, set], ...]] = {}
+        # (function, scope agent) -> (its projection, entries by its slice)
+        self._entries: dict[tuple[int, int], tuple[tuple, dict]] = {}
+        # function -> (per scope agent (agent, projection), table, default)
+        self._keys: dict[int, tuple] = {}
         # function -> scope agent -> per stage, the states it is alive from
         self._alive: dict[int, dict[int, list[set[int]]]] = {}
 
@@ -149,10 +156,81 @@ class InstanceIndex:
                         (s, dst))
         return maps
 
+    def entries(self, rf_index: int, owner: int) -> tuple[tuple, dict]:
+        """The owner's projection under the function, and per owner slice
+        the realizable table entries under it whose value differs from the
+        default. Each entry is a tuple with one (agent, action, dependent,
+        influential, pairs) record per other scope member: its action in the
+        entry, whether swapping that action or its projected state pair
+        changes the value, and the member's available pairs realizing its
+        slice (``transition_influence``). Compiled once per function."""
+        got = self._entries.get((rf_index, owner))
+        if got is not None:
+            return got
+        m, rf = self.m, self.m.rewards[rf_index]
+        table, default = rf.table, rf.default
+        slices = self.slices(rf_index)
+        projs = [m.projection(j, rf.features_read(j)) for j in rf.scope]
+        distinct = [set(proj) for proj in projs]
+        by_owner: list[dict[tuple, list]] = [{} for _ in rf.scope]
+        for (states, actions, nexts), value in table.items():
+            parts = tuple(zip(states, actions, nexts))
+            if value == default or not all(
+                    sl in by for by, sl in zip(slices, parts)):
+                continue
+            members = []
+            for pos, j in enumerate(rf.scope):
+                a_j = actions[pos]
+                dependent = any(
+                    table.get((states,
+                               actions[:pos] + (b,) + actions[pos + 1:],
+                               nexts), default) != value
+                    for b in range(len(m.locals[j].actions)) if b != a_j)
+                influential = any(
+                    table.get((states[:pos] + (sp,) + states[pos + 1:],
+                               actions,
+                               nexts[:pos] + (np_,) + nexts[pos + 1:]),
+                              default) != value
+                    for sp in distinct[pos] for np_ in distinct[pos])
+                members.append((j, a_j, dependent, influential,
+                                slices[pos][parts[pos]]))
+            for pos, by in enumerate(by_owner):
+                by.setdefault(parts[pos], []).append(
+                    tuple(members[:pos] + members[pos + 1:]))
+        for proj, by, j in zip(projs, by_owner, rf.scope):
+            self._entries[(rf_index, j)] = (proj, by)
+        return self._entries[(rf_index, owner)]
+
+    def reward(self, rf_index: int,
+               trs: Mapping[int, LocalTransition]) -> float:
+        """The function's value when each scope agent j takes ``trs[j]``:
+        its table key is read straight off the compiled projections."""
+        key = self._keys.get(rf_index)
+        if key is None:
+            rf = self.m.rewards[rf_index]
+            key = self._keys[rf_index] = (
+                tuple((j, self.m.projection(j, rf.features_read(j)))
+                      for j in rf.scope), rf.table, rf.default)
+        scope, table, default = key
+        states, actions, nexts = [], [], []
+        for j, proj in scope:
+            s, a, dst = trs[j]
+            states.append(proj[s])
+            actions.append(a)
+            nexts.append(proj[dst])
+        return table.get((tuple(states), tuple(actions), tuple(nexts)),
+                         default)
+
     def interaction_dead(self, agent: int, state: int, stage: int,
                          rf_index: int) -> bool:
         """True when, from this local state onward, the interaction function
-        can never yield a nonzero value no matter what any agent does.
+        can never yield a nonzero value no matter what any agent does; see
+        ``alive``."""
+        return state not in self.alive(rf_index)[agent][stage]
+
+    def alive(self, rf_index: int) -> dict[int, list[set[int]]]:
+        """Per scope agent and stage, the states from which the interaction
+        function can still yield a nonzero value.
 
         A slice is realizable at stage x when some pair under it starts in
         its member's ``stage_reach[x]``, so other agents are quantified over
@@ -174,20 +252,29 @@ class InstanceIndex:
             sources = [{sl: {s for s, _ in pairs} for sl, pairs in by.items()}
                        for by in self.slices(rf_index)]
             alive_at = [[set() for _ in range(horizon + 1)] for _ in positions]
+            counting = rf.default != 0.0
+            # the entries realizable at some stage that can fire or count,
+            # as (slices, whether the entry reads nonzero)
+            rows = []
+            for (states, actions, nexts), value in rf.table.items():
+                parts = tuple(zip(states, actions, nexts))
+                if (counting or value != 0.0) and all(
+                        sl in src for src, sl in zip(sources, parts)):
+                    rows.append((parts, value != 0.0))
             for x in range(horizon):
                 live = [{sl for sl, src in sources[pos].items()
-                         if src & self.stage_reach[j][x]}
+                         if not src.isdisjoint(self.stage_reach[j][x])}
                         for pos, j in enumerate(rf.scope)]
                 # per position, own slice -> realizable combinations listed
                 listed: list[dict[tuple, int]] = [{} for _ in positions]
-                for (states, actions, nexts), value in rf.table.items():
-                    parts = tuple(zip(states, actions, nexts))
+                for parts, fires in rows:
                     if all(sl in lv for lv, sl in zip(live, parts)):
                         for pos, sl in enumerate(parts):
-                            listed[pos][sl] = listed[pos].get(sl, 0) + 1
-                            if value != 0.0:
+                            if counting:
+                                listed[pos][sl] = listed[pos].get(sl, 0) + 1
+                            if fires:
                                 alive_at[pos][x] |= sources[pos][sl]
-                for pos in positions if rf.default != 0.0 else ():
+                for pos in positions if counting else ():
                     combos = math.prod(len(live[q]) for q in positions
                                        if q != pos)
                     for sl in live[pos]:
@@ -198,7 +285,7 @@ class InstanceIndex:
                     sets[t] |= {s for s, _, dst in self.available[j]
                                 if dst in sets[t + 1]}
             alive = self._alive[rf_index] = dict(zip(rf.scope, alive_at))
-        return state not in alive[agent][stage]
+        return alive
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +299,10 @@ def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
     owner performs tr_i: j's dependent actions, and per action of j the
     state pairs of j that influence some reward.
 
-    One pass decides every table entry whose owner slice matches tr_i, whose
-    value differs from its function's default and whose every slice is
-    realizable by some available transition. For each other agent j in the
-    entry's scope:
+    Only table entries whose owner slice matches tr_i, whose value differs
+    from its function's default and whose every slice is realizable by some
+    available transition count; ``InstanceIndex.entries`` holds them per
+    owner slice. For each other agent j in such an entry's scope:
 
     - j's action there is dependent when some other action of j, put into
       j's slice, produces a different value. Actions of j that no entry
@@ -228,43 +315,20 @@ def transition_influence(index: InstanceIndex, fns: Sequence[int], owner: int,
 
     Agents that no such entry reads are left out of the result.
     """
-    m = index.m
+    s, a, dst = tr_i
     result: dict[int, tuple[set[int], dict[int, set]]] = {}
-    s_i, a_i, n_i = tr_i
     for k in fns:
-        rf = m.rewards[k]
-        if owner not in rf.scope or not rf.is_interaction:
+        if k not in index.touching[owner]:
             continue
-        pos_own = rf.scope.index(owner)
-        proj_own = m.projection(owner, rf.features_read(owner))
-        own_part = (proj_own[s_i], a_i, proj_own[n_i])
-        slices = index.slices(k)
-        others = [(pos, j, set(m.projection(j, rf.features_read(j))))
-                  for pos, j in enumerate(rf.scope) if j != owner]
-        for (states, actions, nexts), value in rf.table.items():
-            parts = tuple(zip(states, actions, nexts))
-            if (value == rf.default or parts[pos_own] != own_part
-                    or not all(sl in by for by, sl in zip(slices, parts))):
-                continue
-            for pos, j, distinct in others:
-                deps, pairs = result.setdefault(j, (set(), {}))
-                a_j = actions[pos]
-                if a_j not in deps and any(
-                        rf.table.get((states,
-                                      actions[:pos] + (b,) + actions[pos + 1:],
-                                      nexts), rf.default) != value
-                        for b in range(len(m.locals[j].actions)) if b != a_j):
+        proj, by_slice = index.entries(k, owner)
+        for members in by_slice.get((proj[s], a, proj[dst]), ()):
+            for j, a_j, dependent, influential, pairs in members:
+                deps, by_action = result.setdefault(j, (set(), {}))
+                if dependent:
                     deps.add(a_j)
-                known = pairs.setdefault(a_j, set())
-                concrete = slices[pos][parts[pos]]
-                if concrete <= known:
-                    continue
-                if any(rf.table.get((states[:pos] + (sp,) + states[pos + 1:],
-                                     actions,
-                                     nexts[:pos] + (np_,) + nexts[pos + 1:]),
-                                    rf.default) != value
-                       for sp in distinct for np_ in distinct):
-                    known |= concrete
+                known = by_action.setdefault(a_j, set())
+                if influential:
+                    known |= pairs
     return result
 
 
@@ -281,16 +345,47 @@ class CrgArc:
 
 
 @dataclass
+class ClassRecord:
+    """How one other agent's available transitions fall into classes, given
+    what the owner's transition lets that agent influence.
+
+    Its dependent actions give the action labels. Each action context gives
+    influence labels: a dependent action, or the wildcard standing for every
+    live non-dependent action. A transition's class is the (action label,
+    influence label) pair it takes, and a class's completion is the first
+    available transition taking it. A graph builds one record per distinct
+    (agent, dependent actions, influence labels) and shares it among all
+    trees with them. An agent with no influence takes one constant record
+    without classes, since it stays off the skeleton.
+    """
+
+    deps: frozenset[int]
+    act_labels: tuple        # sorted deps, then the wildcard if a live
+                             # non-dependent action remains; () without deps
+    inf_labels: dict[object, tuple]  # action context -> influence labels
+    # available transition -> its class, and under None the stand-in class
+    # of an absent agent, its first available transition's
+    classes: dict
+    completions: dict        # class -> its first available transition
+
+    @property
+    def on_skeleton(self) -> bool:
+        return bool(self.deps or self.inf_labels.get(WILDCARD))
+
+
+@dataclass
 class TransitionTree:
-    """Action tree plus influence trees for one local transition."""
+    """Action tree plus influence trees for one local transition.
+
+    Every field but the arcs is shared by the graph's trees whose
+    transitions take the same owner slices, and among those, transitions
+    whose local rewards agree share one tree; ``tree_labels`` reads the
+    labels off the per-agent records.
+    """
 
     skeleton: tuple[tuple[str, int], ...]  # ("act"|"inf", agent) per level
-    act_labels: dict[int, tuple]           # agent -> usable action labels
-    deps: dict[int, frozenset[int]]
-    inf_labels: dict[tuple[int, object], tuple]  # (agent, act label) -> labels
-    # skeleton agent -> its class (act label, inf label) per available
-    # transition, and under None the stand-in class of an absent agent
-    classes: dict[int, dict]
+    records: dict[int, ClassRecord]        # every other scope agent's record
+    classes: dict[int, dict]               # skeleton agent -> record classes
     arcs: dict[tuple, CrgArc]
 
     @property
@@ -339,99 +434,182 @@ class ConditionalReturnGraph:
         return self.trees[(s, a, s_next)]
 
 
-def _build_tree(m: TiMmdpInstance, index: InstanceIndex, owner: int,
-                fns: Sequence[int], tr_i: LocalTransition,
-                scope_others: Sequence[int],
-                projections: dict[int, tuple]) -> TransitionTree:
-    influence = transition_influence(index, fns, owner, tr_i)
-    deps: dict[int, frozenset[int]] = {}
-    act_labels: dict[int, tuple] = {}
-    inf_labels: dict[tuple[int, object], tuple] = {}
-    for j in scope_others:
-        dep_j, pairs_j = influence.get(j, (set(), {}))
-        deps[j] = frozenset(dep_j)
-        nondep_live = [a for a in range(len(m.locals[j].actions))
+def tree_labels(tree: TransitionTree) -> tuple[dict, dict, dict]:
+    """The tree's labels keyed per agent: dependent actions per other
+    agent, action labels per agent with dependent actions, and influence
+    labels per (agent, action context)."""
+    deps, act_labels, inf_labels = {}, {}, {}
+    for j, record in tree.records.items():
+        deps[j] = record.deps
+        if record.deps:
+            act_labels[j] = record.act_labels
+        for ctx, labels in record.inf_labels.items():
+            inf_labels[(j, ctx)] = labels
+    return deps, act_labels, inf_labels
+
+
+class _Shape(NamedTuple):
+    """The part of a tree fixed by the owner slices its transition takes."""
+
+    skeleton: tuple[tuple[str, int], ...]
+    records: dict[int, ClassRecord]
+    classes: dict[int, dict]
+    paths: list[tuple[tuple, tuple]]  # (labels, interaction components)
+    trees: dict[tuple, TransitionTree]  # local components -> shared tree
+
+
+class _TreeBuilder:
+    """One graph's transition trees.
+
+    A transition's influence is fixed by the owner slices it takes in the
+    entry index of each interaction function reading the owner, so trees
+    are grouped by that key and each group's shape is built once. The
+    interaction components of a path depend on the owner's transition only
+    through that key too: an unmatched slice leaves its function at the
+    default, since every slice of a table key drawn from available
+    transitions is realizable. So they are priced once per shape, and only
+    the owner's local functions are priced per transition.
+    """
+
+    def __init__(self, index: InstanceIndex, owner: int, fns: Sequence[int],
+                 others: Sequence[int], projections: dict[int, tuple]):
+        rewards = index.m.rewards
+        self.index, self.owner, self.fns, self.others = (
+            index, owner, fns, others)
+        self.projections = projections
+        self.readers = [index.entries(k, owner) for k in fns
+                        if k in index.touching[owner]]
+        self.local_fns = [k for k in fns if not rewards[k].is_interaction]
+        self.inter_fns = [k for k in fns if rewards[k].is_interaction]
+        # each function's position in local components + interaction ones
+        self.order = [(self.local_fns + self.inter_fns).index(k) for k in fns]
+        self.shapes: dict[tuple, _Shape] = {}
+        # (agent, deps, influence label sets) -> its shared record
+        self.records: dict[tuple, ClassRecord] = {}
+        self.locals: dict[LocalTransition, tuple[float, ...]] = {}
+
+    def local_rewards(self, tr: LocalTransition) -> tuple[float, ...]:
+        """The owner's local functions' values on its transition."""
+        values = self.locals.get(tr)
+        if values is None:
+            trs = {self.owner: tr}
+            values = self.locals[tr] = tuple(
+                self.index.reward(k, trs) for k in self.local_fns)
+        return values
+
+    def tree(self, tr: LocalTransition) -> TransitionTree:
+        s, a, dst = tr
+        key = []
+        for proj, by_slice in self.readers:
+            part = (proj[s], a, proj[dst])
+            key.append(part if part in by_slice else None)
+        key = tuple(key)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self.shapes[key] = self._shape(tr, transition_influence(
+                self.index, self.fns, self.owner, tr))
+        local = self.local_rewards(tr)
+        tree = shape.trees.get(local)
+        if tree is None:
+            arcs = {}
+            for labels, inter in shape.paths:
+                both = local + inter
+                values = tuple([both[q] for q in self.order])
+                arcs[labels] = CrgArc(components=values,
+                                      reward=math.fsum(values))
+            tree = shape.trees[local] = TransitionTree(
+                skeleton=shape.skeleton, records=shape.records,
+                classes=shape.classes, arcs=arcs)
+        return tree
+
+    def _shape(self, tr_i: LocalTransition, influence: dict) -> _Shape:
+        records = {j: self._record(j, *influence.get(j, (set(), {})))
+                   for j in self.others}
+        act_agents = [j for j in self.others if records[j].deps]
+        inf_agents = [j for j in self.others if records[j].on_skeleton]
+        skeleton = (tuple(("act", j) for j in act_agents)
+                    + tuple(("inf", j) for j in inf_agents))
+        # Agents off the skeleton have the one class (WILDCARD, NO_INFLUENCE),
+        # completed by their first available transition.
+        trs = {j: self.index.available[j][0] for j in self.others}
+        trs[self.owner] = tr_i
+        completions = [records[j].completions for j in inf_agents]
+        paths = []
+        # Paths are the product of the skeleton agents' classes.
+        for combo in product(*completions):
+            cls = dict(zip(inf_agents, combo))
+            labels = (tuple(cls[j][0] for j in act_agents)
+                      + tuple(cls[j][1] for j in inf_agents))
+            for j, first, c in zip(inf_agents, completions, combo):
+                trs[j] = first[c]
+            paths.append((labels, tuple(self.index.reward(k, trs)
+                                        for k in self.inter_fns)))
+        return _Shape(skeleton=skeleton, records=records,
+                      classes={j: records[j].classes for j in inf_agents},
+                      paths=paths, trees={})
+
+    def _record(self, j: int, dep_j: set[int], pairs_j: dict) -> ClassRecord:
+        index = self.index
+        nondep_live = [a for a in range(len(index.m.locals[j].actions))
                        if a not in dep_j and a in index.by_action[j]]
-        if dep_j:
-            act_labels[j] = tuple(sorted(dep_j)) + (
-                (WILDCARD,) if nondep_live else ())
         # Influence labels per action context actually present; the wildcard
         # context stands for every live non-dependent action.
         contexts: dict[object, list[int]] = {a: [a] for a in sorted(dep_j)}
         if not dep_j or nondep_live:
             contexts[WILDCARD] = nondep_live
-        proj = projections[j]
-        for ctx, acts in contexts.items():
-            labels = {(proj[s], proj[dst])
-                      for a in acts for s, dst in pairs_j.get(a, ())}
-            inf_labels[(j, ctx)] = tuple(sorted(labels, key=repr))
-
-    act_agents = [j for j in scope_others if deps[j]]
-    inf_agents = [j for j in scope_others
-                  if deps[j] or inf_labels.get((j, WILDCARD))]
-    skeleton = (tuple(("act", j) for j in act_agents)
-                + tuple(("inf", j) for j in inf_agents))
-
-    # Agents off the skeleton have the one class (WILDCARD, NO_INFLUENCE),
-    # completed by their first available transition.
-    trs = {j: index.available[j][0] for j in scope_others}
-    trs[owner] = tr_i
-    # Each skeleton agent's class per available transition: the (action
-    # label, influence label) pair it takes. The first transition of a class
-    # is the class's completion.
-    classes: dict[int, dict] = {}
-    completion: dict[int, dict[tuple, LocalTransition]] = {}
-    for j in inf_agents:
-        proj = projections[j]
-        of = classes[j] = {}
-        first = completion[j] = {}
-        for tr in index.available[j]:
-            act = tr[1] if tr[1] in deps[j] else WILDCARD
-            pair = (proj[tr[0]], proj[tr[2]])
-            if pair not in inf_labels[(j, act)]:
-                pair = NO_INFLUENCE
-            of[tr] = (act, pair)
-            first.setdefault((act, pair), tr)
-        # An agent absent from a lookup context stands in as its first
-        # available transition.
-        of[None] = of[index.available[j][0]]
-
-    # Paths are the product of the skeleton agents' classes.
-    arcs: dict[tuple, CrgArc] = {}
-    for combo in product(*(completion[j] for j in inf_agents)):
-        cls = dict(zip(inf_agents, combo))
-        labels = (tuple(cls[j][0] for j in act_agents)
-                  + tuple(cls[j][1] for j in inf_agents))
-        for j in inf_agents:
-            trs[j] = completion[j][cls[j]]
-        values = tuple(
-            reward_value_local(m, m.rewards[k],
-                               *zip(*(trs[q] for q in m.rewards[k].scope)))
-            for k in fns)
-        arcs[labels] = CrgArc(components=values, reward=math.fsum(values))
-    return TransitionTree(skeleton=skeleton,
-                          act_labels=act_labels, deps=deps,
-                          inf_labels=inf_labels, classes=classes, arcs=arcs)
+        proj = self.projections[j]
+        labelled = {ctx: frozenset((proj[s], proj[dst])
+                                   for a in acts
+                                   for s, dst in pairs_j.get(a, ()))
+                    for ctx, acts in contexts.items()}
+        deps = frozenset(dep_j)
+        key = (j, deps, tuple(labelled.items()))
+        record = self.records.get(key)
+        if record is not None:
+            return record
+        act_labels = (tuple(sorted(dep_j)) + ((WILDCARD,) if nondep_live
+                                              else ())) if dep_j else ()
+        record = self.records[key] = ClassRecord(
+            deps=deps, act_labels=act_labels,
+            inf_labels={ctx: tuple(sorted(labels, key=repr))
+                        for ctx, labels in labelled.items()},
+            classes={}, completions={})
+        if record.on_skeleton:
+            of, first = record.classes, record.completions
+            for tr in index.available[j]:
+                act = tr[1] if tr[1] in deps else WILDCARD
+                pair = (proj[tr[0]], proj[tr[2]])
+                if pair not in labelled[act]:
+                    pair = NO_INFLUENCE
+                of[tr] = (act, pair)
+                first.setdefault((act, pair), tr)
+            of[None] = of[index.available[j][0]]
+        return record
 
 
 def _local_optimal_actions(m: TiMmdpInstance, index: InstanceIndex,
-                           owner: int, fns: Sequence[int]) -> dict[tuple[int, int], int]:
+                           owner: int, local_rewards,
+                           ) -> dict[tuple[int, int], int]:
     """Backward induction over the owner's reachable local states under its
-    own local reward functions only; ties go to the lowest action id."""
-    local_fns = [m.rewards[k] for k in fns if not m.rewards[k].is_interaction]
+    own local reward functions only; ties go to the lowest action id. Each
+    (state, action)'s outcomes are priced once, whatever stages it recurs at.
+    """
     local = m.locals[owner]
     reach = index.stage_reach[owner]
     values = {(m.horizon, s): 0.0 for s in reach[m.horizon]}
+    steps: dict[tuple[int, int], list] = {}
     choice: dict[tuple[int, int], int] = {}
     for t in range(m.horizon - 1, -1, -1):
         for s in reach[t]:
             best, best_a = None, None
             for a in local.available(s):
-                q = math.fsum(
-                    p * (math.fsum(reward_value_local(m, rf, [s], [a], [dst])
-                                   for rf in local_fns)
-                         + values[(t + 1, dst)])
-                    for dst, p in local.outcomes(s, a))
+                step = steps.get((s, a))
+                if step is None:
+                    step = steps[(s, a)] = [
+                        (dst, p, math.fsum(local_rewards((s, a, dst))))
+                        for dst, p in local.outcomes(s, a)]
+                q = math.fsum(p * (r + values[(t + 1, dst)])
+                              for dst, p, r in step)
                 if best is None or q > best:
                     best, best_a = q, a
             values[(t, s)] = best if best is not None else 0.0
@@ -480,25 +658,28 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
 
     local = m.locals[i]
     reach = index.stage_reach[i]
-    local_opt = _local_optimal_actions(m, index, i, fns)
+    builder = _TreeBuilder(index, i, fns, others, projections)
+    local_opt = None  # compiled at the first independent node
+    alive = [index.alive(k)[i] for k in index.touching[i]]
 
     nodes: dict[tuple[int, int], CrgNode] = {}
     trees: dict[LocalTransition, TransitionTree] = {}
     for t in range(m.horizon + 1):
         for s in sorted(reach[t]):
-            cri = all(index.interaction_dead(i, s, t, k)
-                      for k in index.touching[i])
-            avail = tuple(local.available(s)) if t < m.horizon else ()
+            cri = not any(s in sets[t] for sets in alive)
+            avail = local.available(s) if t < m.horizon else ()
             kept = avail
             if cri and avail:
+                if local_opt is None:
+                    local_opt = _local_optimal_actions(
+                        m, index, i, builder.local_rewards)
                 kept = (local_opt[(t, s)],)
             nodes[(t, s)] = CrgNode(kept_actions=kept, locally_cri=cri)
             for a in avail:
                 for dst, _ in local.outcomes(s, a):
                     tr = (s, a, dst)
                     if tr not in trees:
-                        trees[tr] = _build_tree(m, index, i, fns, tr,
-                                                others, projections)
+                        trees[tr] = builder.tree(tr)
 
     g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
                                scope=tuple(scope), feature_level=feature_level,
@@ -541,19 +722,27 @@ def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
     represented arcs over *any* behavior of the other agents; the lower
     bound is the worst. Layer-h nodes carry zero.
     """
+    # per transition, its tree's (best, worst) arc reward; adding a child
+    # bound is monotone in floating point, so the extremes carry over
+    spans: dict[LocalTransition, tuple[float, float]] = {}
+    local = g.instance.locals[g.owner]
     for (t, s), node in sorted(g.nodes.items(), reverse=True):
         if t == g.horizon:
             node.upper = node.lower = 0.0
             continue
         hi = lo = None
         for a in node.kept_actions:
-            for dst, _ in g.outcomes(s, a):
+            for dst, _ in local.outcomes(s, a):
                 child = g.nodes[(t + 1, dst)]
-                for arc in g.trees[(s, a, dst)].arcs.values():
-                    up = arc.reward + child.upper
-                    dn = arc.reward + child.lower
-                    hi = up if hi is None else max(hi, up)
-                    lo = dn if lo is None else min(lo, dn)
+                span = spans.get((s, a, dst))
+                if span is None:
+                    rewards = [arc.reward
+                               for arc in g.trees[(s, a, dst)].arcs.values()]
+                    span = spans[(s, a, dst)] = (max(rewards), min(rewards))
+                up = span[0] + child.upper
+                dn = span[1] + child.lower
+                hi = up if hi is None else max(hi, up)
+                lo = dn if lo is None else min(lo, dn)
         node.upper = hi if hi is not None else 0.0
         node.lower = lo if lo is not None else 0.0
     return g
@@ -653,7 +842,11 @@ def size_audit(g: ConditionalReturnGraph) -> SizeAudit:
     h * |A_max| * |S_max|^2 * (alpha * I_max)^rho with measured parameters:
     wildcard and no-influence branches add one to each base and the per-path
     node/arc overhead contributes the constant 4 * (rho + 1), both absorbed
-    by the asymptotic form. The measured size can never exceed it.
+    by the asymptotic form. The measured size can never exceed it. alpha
+    (most dependent actions) and I_max (most influence labels in one action
+    context) are read per represented tree through ``tree_labels``, off the
+    per-agent records the trees share, so a shared record counts at every
+    tree that points at it.
     """
     m = g.instance
     h = g.horizon
@@ -679,9 +872,10 @@ def size_audit(g: ConditionalReturnGraph) -> SizeAudit:
                     internal_nodes[t] += len(internal)
                     # entry arc + one arc per non-root internal node + leaves
                     arcs_per_layer[t] += 1 + (len(internal) - 1) + n_leaf
-                for deps in tree.deps.values():
-                    alpha = max(alpha, len(deps))
-                for labels in tree.inf_labels.values():
+                deps, _, inf_labels = tree_labels(tree)
+                for d in deps.values():
+                    alpha = max(alpha, len(d))
+                for labels in inf_labels.values():
                     i_max = max(i_max, len(labels))
     rho = max((len(m.rewards[k].scope) - 1 for k in g.functions
                if m.rewards[k].is_interaction), default=0)

@@ -45,9 +45,20 @@ class LocalMdp:
     states: tuple[LocalState, ...]
     actions: tuple[LocalAction, ...]
     transitions: LocalTransitionModel
+    # state id -> its available action ids; a cache, so it stays out of
+    # equality and repr, and a ``dataclasses.replace`` copy starts empty
+    _available: dict = field(default_factory=dict, init=False,
+                             repr=False, compare=False)
 
-    def available(self, state_id: int) -> list[int]:
-        return [a.id for a in self.actions if (state_id, a.id) in self.transitions]
+    def available(self, state_id: int) -> tuple[int, ...]:
+        """The actions with outcomes in the state, in action order; compiled
+        once per state."""
+        acts = self._available.get(state_id)
+        if acts is None:
+            acts = self._available[state_id] = tuple(
+                a.id for a in self.actions
+                if (state_id, a.id) in self.transitions)
+        return acts
 
     def outcomes(self, state_id: int, action_id: int) -> tuple[tuple[int, float], ...]:
         return self.transitions.get((state_id, action_id), ())

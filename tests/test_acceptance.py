@@ -209,7 +209,7 @@ def test_criterion_5_wildcard_soundness_and_completeness():
         for i, g in crgs.items():
             for tr in list(g.trees)[:10]:
                 for j in (q for q in g.scope if q != i):
-                    deps = g.trees[tr].deps[j]
+                    deps = g.trees[tr].records[j].deps
                     rewards = set()
                     for b in range(len(m.locals[j].actions)):
                         if b in deps:
@@ -302,9 +302,9 @@ def test_criterion_9_worked_example_fixture():
     crgs = build_crgs(m, partition_rewards(m, example_partition()))
     tree = crgs[1].tree(0, 0, 1)
     structure_ok = (
-        tree.act_labels.get(0, ()) == (0, "*")
+        tree.records[0].act_labels == (0, "*")
         and ("*", "⊥") in tree.arcs
-        and len(tree.inf_labels[(0, 0)]) == 2)
+        and len(tree.records[0].inf_labels[0]) == 2)
     verdict(9, len(actions) == 9 and successors == 12 and structure_ok,
             f"{len(actions)} joint actions, {successors} result states, "
             "wildcard and no-influence arcs present on the a-branch")

@@ -301,6 +301,33 @@ class TestGenerateAndBench:
             assert abs(per_algo["core"] - per_algo["dp"]) <= 1e-9
             assert abs(per_algo["crg-ps"] - per_algo["dp"]) <= 1e-9
 
+    def test_bench_parses_each_file_once(self, tmp_path, capsys,
+                                         monkeypatch):
+        """Validation reads each file, and every (file, algorithm) job
+        reuses that instance; a parallel bench writes the same rows."""
+        instances = tmp_path / "instances"
+        assert run_cli(["generate", "--family", "pyra", "--n", "3",
+                        "--horizon", "2", "--count", "2", "--out",
+                        str(instances)]) == 0
+        calls = []
+        read = cli.formats.read_instance
+        monkeypatch.setattr(cli.formats, "read_instance",
+                            lambda text: calls.append(text) or read(text))
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert run_cli(["bench", "--instances", str(instances),
+                        "--out", str(serial)]) == 0
+        assert len(calls) == 2
+        assert run_cli(["bench", "--instances", str(instances),
+                        "--jobs", "2", "--out", str(parallel)]) == 0
+        assert len(calls) == 4
+        capsys.readouterr()
+
+        def rows(path):  # every column but the wall time
+            return [line.rsplit(",", 1)[0]
+                    for line in path.read_text().splitlines()]
+        assert len(rows(serial)) == 1 + 2 * 3
+        assert rows(parallel) == rows(serial)
+
     def test_unknown_arguments_exit_2(self, capsys):
         assert run_cli(["solve", "--nope"]) == 2
         capsys.readouterr()

@@ -21,7 +21,7 @@ from timmdp.crg import (
     transition_influence,
 )
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.model import RewardFunction, total_reward
+from timmdp.model import RewardFunction, reward_value, total_reward
 
 from test_crg_fingerprint import CASES as FINGERPRINT_CASES
 from util import (
@@ -30,8 +30,10 @@ from util import (
     bf_dependent_actions,
     bf_influence_set,
     bf_interaction_alive,
+    fresh_classes,
     random_instance,
     reference_live,
+    reference_transition_influence,
     with_interaction_default,
 )
 
@@ -73,6 +75,29 @@ def liveness_draws(draw):
             if rf.is_interaction:
                 for key in sorted(rf.table, key=repr)[::2]:
                     rf.table[key] = 0.0
+    return m
+
+
+@st.composite
+def influence_draws(draw):
+    """Plain, feature-scoped, nonzero interaction default (with listed
+    entries shifted, so some may equal the default) and layered draws of
+    two or three agents."""
+    variant = draw(st.sampled_from(("plain", "feature_scoped", "default",
+                                    "layered")))
+    layered = variant == "layered"
+    m = random_instance(draw(st.integers(0, 2**32 - 1)),
+                        n_agents=draw(st.sampled_from((2, 3))),
+                        n_interactions=draw(st.integers(1, 3)),
+                        feature_scoped=variant in ("feature_scoped",
+                                                   "default"),
+                        layered=layered,
+                        interaction_horizon=(draw(st.integers(1, 3))
+                                             if layered else None))
+    if variant == "default":
+        m = with_interaction_default(
+            m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),
+            shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
     return m
 
 
@@ -180,7 +205,7 @@ class TestInfluenceSet:
         deps, pairs = transition_influence(index, fns, 1, (0, 0, 1))[0]
         assert not any(p for a, p in pairs.items() if a not in deps)
         g = build_crg(m, partition_rewards(m, example_partition()), 1, index)
-        assert g.tree(0, 0, 1).inf_labels[(0, WILDCARD)] == ()
+        assert g.tree(0, 0, 1).records[0].inf_labels[WILDCARD] == ()
 
     @settings(deadline=None)
     @given(m=small_instances())
@@ -209,15 +234,69 @@ class TestInfluenceSet:
             for tr, tree in g.trees.items():
                 for j in (q for q in g.scope if q != i):
                     deps = bf_dependent_actions(m, fns, i, tr, j)
-                    assert tree.deps[j] == deps, (i, tr, j)
+                    assert tree.records[j].deps == deps, (i, tr, j)
                     proj = m.projection(j, g.feature_level[j])
                     wildcard = {
                         (proj[s], proj[dst])
                         for a in range(len(m.locals[j].actions))
                         if a not in deps
                         for s, dst in bf_influence_set(m, fns, i, tr, j, a)}
-                    got = tree.inf_labels.get((j, WILDCARD), ())
+                    got = tree.records[j].inf_labels.get(WILDCARD, ())
                     assert set(got) == wildcard, (i, tr, j)
+
+
+class TestEntryIndex:
+    @settings(deadline=None, max_examples=40)
+    @given(m=influence_draws())
+    def test_indexed_influence_matches_the_full_scan(self, m):
+        """``transition_influence`` reads the entry index; the reference
+        decides every table entry anew per transition. Checked for every
+        owner and available transition, over the owner's assigned
+        functions and over every function reading it."""
+        index = InstanceIndex(m)
+        part = partition_rewards(m)
+        for i in m.agents:
+            reading = [k for k, rf in enumerate(m.rewards) if i in rf.scope]
+            for fns in (part.functions(i), reading):
+                for tr in available_transitions(m, i):
+                    assert (transition_influence(index, fns, i, tr)
+                            == reference_transition_influence(
+                                index, fns, i, tr)), (i, fns, tr)
+
+    def test_direct_pricing_matches_the_table_key(self):
+        for seed in range(6):
+            m = random_instance(seed, n_agents=2 + seed % 2,
+                                feature_scoped=seed % 3 != 0,
+                                n_interactions=2)
+            index = InstanceIndex(m)
+            for _, s, a, s2, _ in all_joint_transitions(m):
+                trs = {j: (s[j], a[j], s2[j]) for j in m.agents}
+                for k, rf in enumerate(m.rewards):
+                    assert index.reward(k, trs) == reward_value(
+                        m, rf, s, a, s2), (seed, k, s, a, s2)
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=influence_draws())
+    def test_shared_records_equal_a_fresh_classification(self, m):
+        """Every tree's shared record for each other agent carries the
+        dependent actions, labels, classes and completions that classifying
+        that tree's own full-scan influence from scratch gives."""
+        part = partition_rewards(m)
+        for i, g in build_crgs(m, part).items():
+            fns = part.functions(i)
+            for tr, tree in g.trees.items():
+                influence = reference_transition_influence(g.index, fns, i, tr)
+                assert sorted(tree.records) == [j for j in g.scope if j != i]
+                for j, record in tree.records.items():
+                    deps, labels, classes, completions = fresh_classes(
+                        m, influence, j, m.projection(j, g.feature_level[j]))
+                    assert record.deps == deps, (i, tr, j)
+                    assert {ctx: set(got) for ctx, got
+                            in record.inf_labels.items()} == labels, (i, tr, j)
+                    assert record.classes == classes, (i, tr, j)
+                    assert record.completions == completions, (i, tr, j)
+                    if classes:
+                        assert tree.classes[j] is record.classes
 
 
 class TestBuild:
@@ -231,10 +310,10 @@ class TestBuild:
         crgs = build_crgs(m, partition_rewards(m, example_partition()))
         tree = crgs[1].tree(0, 0, 1)
         assert tree.skeleton == (("act", 0), ("inf", 0))
-        assert tree.act_labels[0] == (0, WILDCARD)
-        assert tree.inf_labels[(0, WILDCARD)] == ()
+        assert tree.records[0].act_labels == (0, WILDCARD)
+        assert tree.records[0].inf_labels[WILDCARD] == ()
         assert (WILDCARD, NO_INFLUENCE) in tree.arcs
-        assert len(tree.inf_labels[(0, 0)]) == 2
+        assert len(tree.records[0].inf_labels[0]) == 2
         # other branches carry no interaction structure at all
         assert crgs[1].tree(0, 1, 2).degenerate
         assert all(t.degenerate for t in crgs[0].trees.values())
@@ -289,8 +368,8 @@ class TestBuild:
                     for j in (q for q in g.scope if q != i):
                         nondep = [
                             a for a in range(len(m.locals[j].actions))
-                            if a not in tree.deps[j] and by_action[j].get(a)]
-                        labels = tree.inf_labels.get((j, WILDCARD), ())
+                            if a not in tree.records[j].deps and by_action[j].get(a)]
+                        labels = tree.records[j].inf_labels.get(WILDCARD, ())
                         proj = m.projection(j, g.feature_level[j])
                         rewards = set()
                         for a in nondep:
@@ -322,9 +401,9 @@ class TestClassProduct:
                     proj = m.projection(j, g.feature_level[j])
                     want = {}
                     for tr in available_transitions(m, j):
-                        act = tr[1] if tr[1] in tree.deps[j] else WILDCARD
+                        act = tr[1] if tr[1] in tree.records[j].deps else WILDCARD
                         pair = (proj[tr[0]], proj[tr[2]])
-                        if pair not in tree.inf_labels[(j, act)]:
+                        if pair not in tree.records[j].inf_labels[act]:
                             pair = NO_INFLUENCE
                         want[tr] = (act, pair)
                     got = dict(tree.classes[j])

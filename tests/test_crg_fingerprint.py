@@ -5,7 +5,9 @@ of it that construction decides: per node the kept actions, the
 independence flag, representation, both bounds and the reference live
 interactions (``util.reference_live``); per transition tree the skeleton,
 dependent actions, action and influence labels, and per leaf arc its
-labels, target state, components, reward and nonzero interactions. The
+labels, target state, components, reward and nonzero interactions. Trees
+share their per-agent class records, and ``crg.tree_labels`` reads the
+labels off them in the per-tree layout the trees once stored. The
 labels and the target are hashed twice, in the layout of a time when arcs
 stored them, and the live and nonzero interactions are read off the arcs,
 so the digests recorded then still apply. Containers are sorted by
@@ -17,7 +19,7 @@ import hashlib
 
 import pytest
 
-from timmdp.crg import build_crgs, partition_rewards
+from timmdp.crg import build_crgs, partition_rewards, tree_labels
 from timmdp.domains import (
     GeneratorParams,
     compile_mpp,
@@ -54,11 +56,12 @@ def graph_fingerprint(g) -> tuple:
              repr(arc.reward), _sorted(nonzero_interactions(g, arc)))
             for labels, arc in sorted(tree.arcs.items(),
                                       key=lambda item: repr(item[0])))
+        deps, act_labels, inf_labels = tree_labels(tree)
         trees.append((
             tr, tree.skeleton,
-            _sorted((j, _sorted(d)) for j, d in tree.deps.items()),
-            _sorted(tree.act_labels.items()),
-            _sorted(tree.inf_labels.items()),
+            _sorted((j, _sorted(d)) for j, d in deps.items()),
+            _sorted(act_labels.items()),
+            _sorted(inf_labels.items()),
             arcs))
     return (g.owner, g.horizon, g.functions, g.scope,
             # graphs once carried a CRI-pruning flag here; every graph is

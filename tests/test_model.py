@@ -187,6 +187,35 @@ class TestProjections:
         assert replace(m)._projections == {}
 
 
+class TestAvailable:
+    def test_matches_a_scan_of_the_action_list(self):
+        m = random_instance(11, n_agents=3, max_actions=4)
+        for local in m.locals:
+            for st in local.states:
+                want = tuple(act.id for act in local.actions
+                             if (st.id, act.id) in local.transitions)
+                assert local.available(st.id) == want
+                assert local.available(st.id) is local.available(st.id)
+
+    def test_cache_stays_out_of_equality_repr_and_bytes(self):
+        m = random_instance(6, feature_scoped=True)
+        twin = copy.deepcopy(m)
+        text, shown = write_instance(m), repr(m)
+        list(m.joint_actions(m.initial))
+        local = m.locals[0]
+        assert local._available
+        assert m == twin and repr(m) == shown
+        assert write_instance(m) == text
+        copied = replace(local)
+        assert copied._available == {} and copied == local
+        # a copy with other transitions answers from its own model
+        s = m.initial[0]
+        dropped = {key: outs for key, outs in local.transitions.items()
+                   if key != (s, local.available(s)[0])}
+        assert replace(local, transitions=dropped).available(s) == (
+            local.available(s)[1:])
+
+
 class TestSequenceReturn:
     def test_empty_sequence_returns_zero(self):
         m = two_agent_fixture()

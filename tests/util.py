@@ -3,7 +3,10 @@ execution sequences and the best open-loop plan, the full row-product
 reference for the search's factored bounds and values, the reference
 liveness ``reference_live`` read off each graph's arcs, the reference
 partition ``components`` built on it that the search's signature partitions
-are checked against, and small queries of the search and of policies.
+are checked against, the full-scan ``reference_transition_influence`` and
+the unshared ``fresh_classes`` that the graphs' entry index and shared class
+records are checked against, and small queries of the search and of
+policies.
 
 The oracles re-state the definitions directly over concrete transitions -
 no table-entry shortcuts, no caching - so they stay independent of the
@@ -21,8 +24,11 @@ from typing import Iterator, Mapping, Sequence
 
 from timmdp.baselines import DpResult
 from timmdp.crg import (
+    NO_INFLUENCE,
+    WILDCARD,
     ConditionalReturnGraph,
     CrgArc,
+    InstanceIndex,
     assigned_reward,
     cover_mask,
     resolve_arc,
@@ -254,6 +260,87 @@ def rng_shuffle(rng: SplitMix64, items: list) -> None:
 
 def available_transitions(m: TiMmdpInstance, agent: int):
     return _available_transitions(m.locals[agent])
+
+
+def reference_transition_influence(index: InstanceIndex, fns: Sequence[int],
+                                   owner: int, tr_i: tuple[int, int, int],
+                                   ) -> dict[int, tuple[set[int], dict[int, set]]]:
+    """``crg.transition_influence`` by a full scan: every table entry of
+    every function is decided anew for this one transition, with no entry
+    index. One pass keeps the entries whose owner slice matches tr_i, whose
+    value differs from the default and whose every slice is realizable;
+    for each other agent j in such an entry, j's action is dependent when
+    swapping it for another of j's actions changes the value, and the entry
+    is influential when swapping j's projected state pair does, in which
+    case it adds j's available pairs under its slice."""
+    m = index.m
+    result: dict[int, tuple[set[int], dict[int, set]]] = {}
+    s_i, a_i, n_i = tr_i
+    for k in fns:
+        rf = m.rewards[k]
+        if owner not in rf.scope or not rf.is_interaction:
+            continue
+        pos_own = rf.scope.index(owner)
+        proj_own = m.projection(owner, rf.features_read(owner))
+        own_part = (proj_own[s_i], a_i, proj_own[n_i])
+        slices = index.slices(k)
+        others = [(pos, j, set(m.projection(j, rf.features_read(j))))
+                  for pos, j in enumerate(rf.scope) if j != owner]
+        for (states, actions, nexts), value in rf.table.items():
+            parts = tuple(zip(states, actions, nexts))
+            if (value == rf.default or parts[pos_own] != own_part
+                    or not all(sl in by for by, sl in zip(slices, parts))):
+                continue
+            for pos, j, distinct in others:
+                deps, pairs = result.setdefault(j, (set(), {}))
+                a_j = actions[pos]
+                if a_j not in deps and any(
+                        rf.table.get((states,
+                                      actions[:pos] + (b,) + actions[pos + 1:],
+                                      nexts), rf.default) != value
+                        for b in range(len(m.locals[j].actions)) if b != a_j):
+                    deps.add(a_j)
+                known = pairs.setdefault(a_j, set())
+                concrete = slices[pos][parts[pos]]
+                if concrete <= known:
+                    continue
+                if any(rf.table.get((states[:pos] + (sp,) + states[pos + 1:],
+                                     actions,
+                                     nexts[:pos] + (np_,) + nexts[pos + 1:]),
+                                    rf.default) != value
+                       for sp in distinct for np_ in distinct):
+                    known |= concrete
+    return result
+
+
+def fresh_classes(m: TiMmdpInstance, influence: dict, j: int,
+                  proj: tuple) -> tuple[frozenset, dict, dict, dict]:
+    """Agent j's dependent actions, influence labels per action context,
+    class per available transition (None: the first one's) and completion
+    per class, classified from one transition's influence alone; an agent
+    off the skeleton has no classes."""
+    deps, pairs = influence.get(j, (set(), {}))
+    available = available_transitions(m, j)
+    live = {a for _, a, _ in available}
+    nondep = [a for a in range(len(m.locals[j].actions))
+              if a not in deps and a in live]
+    contexts = {a: [a] for a in deps}
+    if not deps or nondep:
+        contexts[WILDCARD] = nondep
+    labels = {ctx: {(proj[s], proj[dst])
+                    for a in acts for s, dst in pairs.get(a, ())}
+              for ctx, acts in contexts.items()}
+    classes: dict = {}
+    completions: dict = {}
+    if deps or labels.get(WILDCARD):
+        for tr in available:
+            act = tr[1] if tr[1] in deps else WILDCARD
+            pair = (proj[tr[0]], proj[tr[2]])
+            cls = (act, pair if pair in labels[act] else NO_INFLUENCE)
+            classes[tr] = cls
+            completions.setdefault(cls, tr)
+        classes[None] = classes[available[0]]
+    return frozenset(deps), labels, classes, completions
 
 
 def bf_dependent_actions(m: TiMmdpInstance, fns: list[int], owner: int,
