@@ -18,7 +18,7 @@ from pathlib import Path
 from . import baselines, domains, formats, search
 from .crg import build_crgs, partition_rewards
 from .model import TiMmdpInstance, validate_instance
-from .search import Policy, SearchConfig
+from .search import SearchConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,11 +49,13 @@ def _load_valid_instance(path: str) -> TiMmdpInstance | int:
 
 def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
                 time_limit: float | None,
-                ) -> tuple[formats.ResultRow, Policy | None]:
-    """Run one algorithm on one instance; returns its result row and, when
-    solved, the policy."""
+                ) -> tuple[formats.ResultRow,
+                           baselines.DpResult | search.SolveReport | None]:
+    """Run one algorithm on one instance; returns its result row and the
+    solver's result, if it returned one. A core or crg-ps report extracts
+    its ``policy`` only when read."""
     start = time.perf_counter()
-    value, stats, status, policy = None, {}, "solved", None
+    value, stats, status, result = None, {}, "solved", None
     if algorithm == "dp":
         try:
             result = baselines.dp_solve(m, time_budget=time_limit)
@@ -62,7 +64,7 @@ def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
         except baselines.StateSpaceBudgetExceeded:
             status = "resource"
         else:
-            value, stats, policy = result.value, result.stats, result.policy
+            value, stats = result.value, result.stats
     else:
         crgs = build_crgs(m, partition_rewards(m))
         remaining = None
@@ -73,16 +75,16 @@ def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
         else:
             cfg = SearchConfig(pruning=(algorithm == "core"),
                                time_budget=remaining)
-            report = search.core_solve(m, crgs, cfg)
-            value, stats = report.value, report.stats.as_dict()
-            status, policy = report.status, report.policy
+            result = search.core_solve(m, crgs, cfg)
+            value, stats = result.value, result.stats.as_dict()
+            status = result.status
     row = formats.ResultRow(
         instance=name, algorithm=algorithm, status=status, value=value,
         joint_actions_evaluated=stats.get("joint_actions_evaluated", 0),
         nodes_pruned=stats.get("nodes_pruned", 0),
         decouple_events=stats.get("decouple_events", 0),
         wall_time_ms=int((time.perf_counter() - start) * 1000))
-    return row, policy
+    return row, result
 
 
 def _cmd_generate(args) -> int:
@@ -115,7 +117,7 @@ def _cmd_solve(args) -> int:
     m = _load_valid_instance(args.instance)
     if isinstance(m, int):
         return m
-    row, policy = _solve_once(Path(args.instance).stem, m, args.algorithm,
+    row, result = _solve_once(Path(args.instance).stem, m, args.algorithm,
                               args.time_limit)
     if args.stats:
         Path(args.stats).write_text(formats.write_results([row]),
@@ -126,8 +128,8 @@ def _cmd_solve(args) -> int:
     if row.status == "resource":
         _err("state-space budget exceeded")
         return EXIT_RESOURCE
-    if args.policy_out and policy is not None:
-        Path(args.policy_out).write_text(formats.write_policy(policy),
+    if args.policy_out and result is not None:
+        Path(args.policy_out).write_text(formats.write_policy(result.policy),
                                          encoding="utf-8")
     print(f"value {row.value:.17g}")
     return EXIT_OK
@@ -257,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument("--instance", required=True)
     dot.add_argument("--agent", type=int, required=True)
     dot.add_argument("--bounds", action="store_true",
-                     help="include [L, U] in state labels")
+                     help="include each node's [lower, upper] return "
+                          "bound in its label")
     dot.set_defaults(func=_cmd_export_dot)
 
     bench = sub.add_parser("bench", help="sweep instances x algorithms")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import TiMmdpInstance, reachable_local_states
+from .model import TiMmdpInstance
 
 WILDCARD = "*"
 NO_INFLUENCE = "⊥"
@@ -118,7 +118,7 @@ class InstanceIndex:
 
     def __init__(self, m: TiMmdpInstance):
         self.m = m
-        self.stage_reach = [reachable_local_states(m, i) for i in m.agents]
+        self.stage_reach = [m.reachable(i) for i in m.agents]
         # Stage-free availability: every (s, a, s') with positive probability.
         self.available: list[list[LocalTransition]] = []
         self.by_action: list[dict[int, list[tuple[int, int]]]] = []
@@ -718,31 +718,39 @@ def _mark_represented(g: ConditionalReturnGraph) -> None:
 def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
     """One backward pass filling per-node return bounds.
 
-    The upper bound at a node is the best assigned return obtainable along
-    represented arcs over *any* behavior of the other agents; the lower
-    bound is the worst. Layer-h nodes carry zero.
+    The upper bound at a node is the best, over its kept actions, of the
+    expected return over the owner's own outcomes, each outcome taking its
+    tree's best arc reward plus the upper bound of its next node. Transition
+    independence fixes the owner's outcome distribution whatever the other
+    agents do, so only their behavior is maximized over, and the bound
+    stays admissible. The lower bound is the worst return along any kept
+    action, outcome and arc. Layer-h nodes carry zero.
     """
-    # per transition, its tree's (best, worst) arc reward; adding a child
-    # bound is monotone in floating point, so the extremes carry over
-    spans: dict[LocalTransition, tuple[float, float]] = {}
-    local = g.instance.locals[g.owner]
-    for (t, s), node in sorted(g.nodes.items(), reverse=True):
+    # per tree, its (best, worst) arc reward; transitions share trees
+    spans: dict[int, tuple[float, float]] = {}
+    nodes, trees = g.nodes, g.trees
+    outcomes = g.instance.locals[g.owner].outcomes
+    for (t, s), node in sorted(nodes.items(), reverse=True):
         if t == g.horizon:
             node.upper = node.lower = 0.0
             continue
         hi = lo = None
         for a in node.kept_actions:
-            for dst, _ in local.outcomes(s, a):
-                child = g.nodes[(t + 1, dst)]
-                span = spans.get((s, a, dst))
+            ups = []
+            for dst, p in outcomes(s, a):
+                child = nodes[(t + 1, dst)]
+                tree = trees[(s, a, dst)]
+                span = spans.get(id(tree))
                 if span is None:
-                    rewards = [arc.reward
-                               for arc in g.trees[(s, a, dst)].arcs.values()]
-                    span = spans[(s, a, dst)] = (max(rewards), min(rewards))
-                up = span[0] + child.upper
+                    rewards = [arc.reward for arc in tree.arcs.values()]
+                    span = spans[id(tree)] = (max(rewards), min(rewards))
+                ups.append(p * (span[0] + child.upper))
                 dn = span[1] + child.lower
-                hi = up if hi is None else max(hi, up)
-                lo = dn if lo is None else min(lo, dn)
+                if lo is None or dn < lo:
+                    lo = dn
+            up = math.fsum(ups)
+            if hi is None or up > hi:
+                hi = up
         node.upper = hi if hi is not None else 0.0
         node.lower = lo if lo is not None else 0.0
     return g

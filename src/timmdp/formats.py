@@ -376,6 +376,8 @@ def export_dot(g: ConditionalReturnGraph, bounds: bool = False) -> str:
     """Render the represented graph: circles for local states, points for
     action-tree internals, triangles for influence-tree roots; arcs carry
     action ids, wildcards, state pairs, no-influence marks and leaf rewards.
+    With ``bounds``, each state label adds the node's ``[lower, upper]``
+    return bound (see ``crg.annotate_bounds``).
     """
     m = g.instance
     lines = [f"digraph crg_agent{g.owner} {{", "  rankdir=LR;"]

@@ -105,6 +105,9 @@ class TiMmdpInstance:
     # of equality and repr, and a ``dataclasses.replace`` copy starts empty
     _projections: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
+    # agent -> its per-stage reachable states; a cache like the projections
+    _reach: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -131,6 +134,16 @@ class TiMmdpInstance:
                           for st in states))
             self._projections[key] = proj
         return proj
+
+    def reachable(self, agent: int) -> tuple[frozenset[int], ...]:
+        """Per stage, the agent's local states reachable from its initial
+        state (``reachable_local_states``). Compiled once per agent, so
+        validation and the graph build share one sweep."""
+        reach = self._reach.get(agent)
+        if reach is None:
+            reach = self._reach[agent] = tuple(
+                frozenset(x) for x in reachable_local_states(self, agent))
+        return reach
 
 
 class TimeBudgetExceeded(Exception):
@@ -339,7 +352,7 @@ def validate_instance(m: TiMmdpInstance) -> list[Violation]:
 def _reachability_violations(m: TiMmdpInstance) -> list[Violation]:
     out = []
     for i in m.agents:
-        per_stage = reachable_local_states(m, i)
+        per_stage = m.reachable(i)
         seen = set().union(*per_stage)
         for st in m.locals[i].states:
             if st.id not in seen:

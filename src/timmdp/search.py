@@ -33,9 +33,10 @@ checked before each fresh solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -83,7 +84,6 @@ class SearchStats:
 @dataclass
 class SolveReport:
     value: float | None
-    policy: Policy | None
     stats: SearchStats
     wall_time: float
     status: str                    # "solved" or "timeout"
@@ -91,6 +91,15 @@ class SolveReport:
     # (t, component, component states) -> (value, decision), one entry per
     # distinct component solved
     trace: dict | None = None
+    # composes the policy at the first read of ``policy``; None on timeout
+    extract: Callable[[], Policy] | None = field(default=None, repr=False,
+                                                 compare=False)
+
+    @functools.cached_property
+    def policy(self) -> Policy | None:
+        """The policy composed from the recorded decisions, extracted at
+        the first read only; None on timeout."""
+        return self.extract() if self.extract is not None else None
 
 
 def _groups(items: Sequence[int],
@@ -432,9 +441,10 @@ def core_solve(m: TiMmdpInstance,
                cfg: SearchConfig | None = None) -> SolveReport:
     """Solve the instance exactly; see the module docstring for the walk.
 
-    Returns the optimal joint value, the policy composed from the recorded
-    component decisions and search statistics. On a blown time budget the
-    report carries no value and no policy and is flagged ``timeout``.
+    Returns the optimal joint value, search statistics and the policy
+    composed from the recorded component decisions, which is extracted at
+    its first read. On a blown time budget the report carries no value and
+    no policy and is flagged ``timeout``.
     """
     cfg = cfg or SearchConfig()
     search = _Search(m, crgs, cfg)
@@ -447,8 +457,7 @@ def core_solve(m: TiMmdpInstance,
         value, status = None, "timeout"
     wall = time.perf_counter() - start
     algorithm = "core" if cfg.pruning else "crg-ps"
-    policy = search.policy() if status == "solved" else None
-    return SolveReport(value=value, policy=policy, stats=search.stats,
-                       wall_time=wall, status=status, algorithm=algorithm,
-                       trace=search.table)
+    return SolveReport(value=value, stats=search.stats, wall_time=wall,
+                       status=status, algorithm=algorithm, trace=search.table,
+                       extract=search.policy if status == "solved" else None)
 

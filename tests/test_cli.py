@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from timmdp.cli import run_cli
 from timmdp.crg import build_crgs
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
 from timmdp.formats import write_instance
+from timmdp.model import reachable_local_states
 from timmdp.search import SearchConfig, core_solve
 
 
@@ -105,6 +108,64 @@ class TestSolve:
         capsys.readouterr()
         lines = stats.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("example,core,solved")
+
+
+class TestSolveWork:
+    def test_reachability_is_swept_once_per_agent(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """Validation and the graph build share one sweep per agent."""
+        m, path = _write_pyramid(tmp_path)
+        calls = []
+        sweep = reachable_local_states
+
+        def counted(m, i):
+            calls.append(i)
+            return sweep(m, i)
+        # wherever the package binds the sweep
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "timmdp"
+                    and hasattr(module, "reachable_local_states")):
+                monkeypatch.setattr(module, "reachable_local_states", counted)
+        for algorithm in ("core", "dp"):
+            calls.clear()
+            assert run_cli(["solve", "--algorithm", algorithm,
+                            "--instance", str(path)]) == 0
+            assert sorted(calls) == list(m.agents), algorithm
+        capsys.readouterr()
+
+    def test_policy_is_extracted_only_when_written(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """No policy is composed without --policy-out, nor by bench; with
+        it, one is, and its bytes are those recorded when every solve
+        composed one."""
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        path = instances / "pyra.json"
+        path.write_text(write_instance(compile_mpp(gen_pyra(5, 3, seed=1))),
+                        encoding="utf-8")
+        calls = []
+        extract = cli.search._Search.policy
+        monkeypatch.setattr(cli.search._Search, "policy",
+                            lambda self: calls.append(1) or extract(self))
+        for algorithm in ("core", "crg-ps"):
+            calls.clear()
+            assert run_cli(["solve", "--algorithm", algorithm,
+                            "--instance", str(path)]) == 0
+            assert calls == []
+            out = tmp_path / f"{algorithm}.json"
+            assert run_cli(["solve", "--algorithm", algorithm,
+                            "--instance", str(path),
+                            "--policy-out", str(out)]) == 0
+            assert len(calls) == 1
+            assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == (
+                "fa5bc4f1fabed839")
+        assert capsys.readouterr().out == "value 95.822699999999998\n" * 4
+        calls.clear()
+        assert run_cli(["bench", "--instances", str(instances),
+                        "--algorithms", "core,crg-ps",
+                        "--out", str(tmp_path / "bench.csv")]) == 0
+        assert calls == []
+        capsys.readouterr()
 
 
 class TestParserReuse:

@@ -35,6 +35,8 @@ from util import (
     reference_live,
     reference_transition_influence,
     with_interaction_default,
+    with_negative_rewards,
+    worst_path_upper,
 )
 
 
@@ -94,6 +96,34 @@ def influence_draws(draw):
                         layered=layered,
                         interaction_horizon=(draw(st.integers(1, 3))
                                              if layered else None))
+    if variant == "default":
+        m = with_interaction_default(
+            m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),
+            shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
+    return m
+
+
+@st.composite
+def bound_draws(draw):
+    """Horizons 1 to 3 over plain, single-agent, all-negative,
+    nonzero-default and layered draws of up to three agents."""
+    variant = draw(st.sampled_from(("plain", "single", "negative",
+                                    "default", "layered")))
+    horizon = draw(st.integers(1, 3))
+    n_agents = 1 if variant == "single" else draw(st.sampled_from((2, 3)))
+    layered = variant == "layered"
+    m = random_instance(draw(st.integers(0, 2**32 - 1)), n_agents=n_agents,
+                        horizon=horizon,
+                        max_states=3 if n_agents == 3 else 4,
+                        max_actions=2 if n_agents == 3 else 3,
+                        n_interactions=(0 if n_agents == 1
+                                        else draw(st.integers(1, 2))),
+                        feature_scoped=not layered and draw(st.booleans()),
+                        layered=layered,
+                        interaction_horizon=(draw(st.integers(1, horizon))
+                                             if layered else None))
+    if variant == "negative":
+        m = with_negative_rewards(m)
     if variant == "default":
         m = with_interaction_default(
             m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),
@@ -499,6 +529,25 @@ class TestBounds:
         assert g.node(0, 0).upper == 6.0
         assert g.node(0, 0).lower == 3.0
 
+    def test_upper_bound_is_expected_over_own_outcomes(self):
+        """One action whose two outcomes of p = 0.5 pay 10 and 0: the
+        upper bound is their expectation, not the better one, and the lower
+        bound is the worse one."""
+        from timmdp.model import LocalAction, LocalMdp, LocalState, \
+            TiMmdpInstance
+
+        local = LocalMdp(tuple(LocalState(i, {}) for i in range(3)),
+                         (LocalAction(0, "x"),),
+                         {(0, 0): ((1, 0.5), (2, 0.5))})
+        rf = RewardFunction(scope=(0,), table={((0,), (0,), (1,)): 10.0,
+                                               ((0,), (0,), (2,)): 0.0})
+        m = TiMmdpInstance(locals=(local,), rewards=[rf], horizon=1,
+                           initial=(0,))
+        g = build_crgs(m)[0]
+        assert worst_path_upper(g)[(0, 0)] == 10.0
+        assert g.node(0, 0).upper == 5.0
+        assert g.node(0, 0).lower == 0.0
+
     def test_bound_admissibility_against_dp(self):
         for seed in range(12):
             m = random_instance(seed, n_agents=2 + (seed % 2),
@@ -510,6 +559,21 @@ class TestBounds:
                 hi = math.fsum(crgs[i].node(t, s[i]).upper for i in m.agents)
                 assert lo <= v_star + 1e-9, (seed, t, s)
                 assert v_star <= hi + 1e-9, (seed, t, s)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=bound_draws())
+    def test_bounds_bracket_dp_and_stay_under_the_best_path(self, m):
+        """Summed node bounds bracket V* at every joint state ``dp``
+        reaches, and no node's upper bound exceeds its best-path bound."""
+        crgs = build_crgs(m)
+        for (t, s), v_star in dp_solve(m).values.items():
+            lo = math.fsum(crgs[i].node(t, s[i]).lower for i in m.agents)
+            hi = math.fsum(crgs[i].node(t, s[i]).upper for i in m.agents)
+            assert lo <= v_star + 1e-9 and v_star <= hi + 1e-9, (t, s)
+        for g in crgs.values():
+            best_path = worst_path_upper(g)
+            for key, node in g.nodes.items():
+                assert node.upper <= best_path[key] + 1e-9, key
 
 
 class TestLocalCri:

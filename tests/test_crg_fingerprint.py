@@ -1,18 +1,18 @@
 """Regression fingerprints of whole conditional return graphs.
 
-Each case builds every agent's graph for one fixed instance and hashes all
-of it that construction decides: per node the kept actions, the
-independence flag, representation, both bounds and the reference live
-interactions (``util.reference_live``); per transition tree the skeleton,
-dependent actions, action and influence labels, and per leaf arc its
-labels, target state, components, reward and nonzero interactions. Trees
-share their per-agent class records, and ``crg.tree_labels`` reads the
-labels off them in the per-tree layout the trees once stored. The
-labels and the target are hashed twice, in the layout of a time when arcs
-stored them, and the live and nonzero interactions are read off the arcs,
-so the digests recorded then still apply. Containers are sorted by
-``repr`` so the digest does not depend on insertion order. Any change to
-how graphs are built must reproduce these digests bit for bit.
+Each case builds every agent's graph for one fixed instance and takes two
+digests. The structure digest hashes all that construction decides apart
+from the bounds: per node the kept actions, the independence flag,
+representation and the reference live interactions (``util.reference_live``);
+per transition tree the skeleton, dependent actions, action and influence
+labels, and per leaf arc its labels, target state, components, reward and
+nonzero interactions. Trees share their per-agent class records, and
+``crg.tree_labels`` reads the labels off them in a per-tree layout. The
+bounds digest hashes every node's upper and lower bound, which
+``crg.annotate_bounds`` derives from that structure. Containers are sorted
+by ``repr`` so neither digest depends on insertion order. Any change to how
+graphs are built must reproduce the structure digests bit for bit; a change
+to the bounds alone moves only the bounds digests.
 """
 
 import hashlib
@@ -44,16 +44,17 @@ def _sorted(items):
 
 
 def graph_fingerprint(g) -> tuple:
+    """Everything construction decides except the node bounds."""
     live = reference_live(g)
     nodes = tuple(
         (key, node.kept_actions, node.locally_cri, node.represented,
-         repr(node.upper), repr(node.lower), _sorted(live[key]))
+         _sorted(live[key]))
         for key, node in sorted(g.nodes.items()))
     trees = []
     for tr, tree in sorted(g.trees.items()):
         arcs = tuple(
-            (labels, tr[2], labels, repr(arc.components),
-             repr(arc.reward), _sorted(nonzero_interactions(g, arc)))
+            (labels, tr[2], repr(arc.components), repr(arc.reward),
+             _sorted(nonzero_interactions(g, arc)))
             for labels, arc in sorted(tree.arcs.items(),
                                       key=lambda item: repr(item[0])))
         deps, act_labels, inf_labels = tree_labels(tree)
@@ -64,14 +65,17 @@ def graph_fingerprint(g) -> tuple:
             _sorted(inf_labels.items()),
             arcs))
     return (g.owner, g.horizon, g.functions, g.scope,
-            # graphs once carried a CRI-pruning flag here; every graph is
-            # pruned now, and the constant keeps the recorded digests
-            _sorted(g.feature_level.items()), True, nodes,
-            tuple(trees))
+            _sorted(g.feature_level.items()), nodes, tuple(trees))
 
 
-def digest(crgs) -> str:
-    text = repr(tuple(graph_fingerprint(g) for _, g in sorted(crgs.items())))
+def bounds_fingerprint(g) -> tuple:
+    """Every node's (upper, lower) bound."""
+    return (g.owner, tuple((key, repr(node.upper), repr(node.lower))
+                           for key, node in sorted(g.nodes.items())))
+
+
+def digest(crgs, fingerprint=graph_fingerprint) -> str:
+    text = repr(tuple(fingerprint(g) for _, g in sorted(crgs.items())))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -144,31 +148,62 @@ CASES = {
                             n_interactions=3), -1.5)),
 }
 
-EXPECTED = {
-    "coordint": "2b830244964a02cf",
-    "criterion-7-k0": "37101c23f4adcfc2",
-    "criterion-7-k1": "8f657c0a9fa75436",
-    "example-balanced": "ac8abd635d9a2c23",
-    "example-fixed": "e063429b2427db53",
-    "mpp-build-0": "96d754dd7e561aab",
-    "mpp-build-1": "40fa2d9cbe6642a6",
-    "mpp-build-2": "6a491e32f2c82207",
-    "pyra-5-3": "299d1fa765ec84e3",
-    "random-0": "f6a01707431a33fe",
-    "random-1": "de0df6bac9fc248d",
-    "random-2": "664e9cbc38880d31",
-    "random-3": "b118d74e7e0e6bea",
-    "random-4": "ab9afdec0342ee85",
-    "random-5": "d7bb40860cbcc2ca",
-    "random-6": "380c93a38a1083b5",
-    "random-7": "ba6126939c4fef6b",
-    "random-default-0": "30298924a623b994",
-    "random-default-1": "8cac046c1815ac37",
-    "random-default-2": "5bf4a47c06a356f5",
-    "random-default-3scope-4": "03a7150eb182f61b",
+# recorded before upper bounds took the expectation over the owner's
+# outcomes, which left them unchanged
+STRUCTURE = {
+    "coordint": "6587eb8728d8cf95",
+    "criterion-7-k0": "b1748b82edd73c94",
+    "criterion-7-k1": "641f76e34ea1fa29",
+    "example-balanced": "cb20bb331cb7922c",
+    "example-fixed": "de54286d8e08d80b",
+    "mpp-build-0": "750a8b5e9ae3213f",
+    "mpp-build-1": "58e53fc22dec068c",
+    "mpp-build-2": "54f78851ca771ab8",
+    "pyra-5-3": "9477f62a039a494c",
+    "random-0": "f95553ff89e9b693",
+    "random-1": "95434e2dd3d53f69",
+    "random-2": "13b4d94908899c85",
+    "random-3": "22c556d992bb96f3",
+    "random-4": "cd1111d5ef979587",
+    "random-5": "8c12d602e241311c",
+    "random-6": "c6e9b974c4794d0e",
+    "random-7": "b5ec93dcb541a3ec",
+    "random-default-0": "e13ffd41b74402e9",
+    "random-default-1": "9e1a145065cb74ea",
+    "random-default-2": "5f57a23d1517e373",
+    "random-default-3scope-4": "dca08ee131434f08",
+}
+
+BOUNDS = {
+    "coordint": "70d027e455c5b0f1",
+    "criterion-7-k0": "d83e4ebf2ac61aea",
+    "criterion-7-k1": "5f2bd0895440ca69",
+    "example-balanced": "4dff952b1598bb12",
+    "example-fixed": "908424d252e43026",
+    "mpp-build-0": "a49885b5dd83d491",
+    "mpp-build-1": "e440db96d328a9c5",
+    "mpp-build-2": "ac0d0d3844286619",
+    "pyra-5-3": "4fda27b5f349b89b",
+    "random-0": "25e16384a80e9956",
+    "random-1": "89e86b62d5d22b7d",
+    "random-2": "cedb2f36cb2d88ec",
+    "random-3": "3214be56462a4d8f",
+    "random-4": "901579da1c64c143",
+    "random-5": "287573f297fa5e21",
+    "random-6": "e179a20fd91ea69c",
+    "random-7": "f7e1c906ebe01196",
+    "random-default-0": "9b0f783e9be75b8d",
+    "random-default-1": "796437e68958faf2",
+    "random-default-2": "fc209d43197d732c",
+    "random-default-3scope-4": "99553e61ef550329",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_graphs_match_recorded_fingerprint(name):
-    assert digest(CASES[name]()) == EXPECTED[name]
+    assert digest(CASES[name]()) == STRUCTURE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bounds_match_recorded_fingerprint(name):
+    assert digest(CASES[name](), bounds_fingerprint) == BOUNDS[name]

@@ -11,6 +11,7 @@ from timmdp.model import (
     RewardFunction,
     TiMmdpInstance,
     enumerate_successors,
+    reachable_local_states,
     reward_key,
     reward_value,
     total_reward,
@@ -214,6 +215,21 @@ class TestAvailable:
                    if key != (s, local.available(s)[0])}
         assert replace(local, transitions=dropped).available(s) == (
             local.available(s)[1:])
+
+
+class TestReachable:
+    def test_matches_the_sweep_and_stays_out_of_equality(self):
+        m = random_instance(4, n_agents=3, horizon=4)
+        twin = copy.deepcopy(m)
+        for i in m.agents:
+            reach = m.reachable(i)
+            assert reach == tuple(map(frozenset,
+                                      reachable_local_states(m, i)))
+            assert m.reachable(i) is reach
+        assert m == twin and repr(m) == repr(twin)
+        shorter = replace(m, horizon=2)
+        assert shorter._reach == {}
+        assert len(shorter.reachable(0)) == 3
 
 
 class TestSequenceReturn:

@@ -5,7 +5,8 @@ liveness ``reference_live`` read off each graph's arcs, the reference
 partition ``components`` built on it that the search's signature partitions
 are checked against, the full-scan ``reference_transition_influence`` and
 the unshared ``fresh_classes`` that the graphs' entry index and shared class
-records are checked against, and small queries of the search and of
+records are checked against, the best-path bound ``worst_path_upper`` that
+node upper bounds may not exceed, and small queries of the search and of
 policies.
 
 The oracles re-state the definitions directly over concrete transitions -
@@ -102,6 +103,16 @@ def with_interaction_default(m: TiMmdpInstance, default: float,
     rewards = [replace(rf, default=default,
                        table={key: v + shift for key, v in rf.table.items()})
                if rf.is_interaction else rf
+               for rf in m.rewards]
+    return replace(m, rewards=rewards)
+
+
+def with_negative_rewards(m: TiMmdpInstance) -> TiMmdpInstance:
+    """Copy of ``m`` in which every function, local or interaction, earns
+    at most -1 on every transition, listed or not."""
+    rewards = [replace(rf, default=-1.0 - abs(rf.default),
+                       table={key: -1.0 - abs(v)
+                              for key, v in rf.table.items()})
                for rf in m.rewards]
     return replace(m, rewards=rewards)
 
@@ -700,6 +711,22 @@ def joint_action_bounds(crgs, t: int, agents, states,
     upper = math.fsum(p * up for _, p, _, up, _ in rows)
     lower = math.fsum(p * dn for _, p, _, _, dn in rows)
     return lower, upper
+
+
+def worst_path_upper(g: ConditionalReturnGraph,
+                     ) -> dict[tuple[int, int], float]:
+    """Per node, the upper bound along the owner's luckiest path: the best,
+    over kept actions and every outcome of them, of the transition's best
+    arc reward plus this bound at the next node. Node upper bounds, which
+    take the expectation over the owner's outcomes, never exceed it."""
+    bound: dict[tuple[int, int], float] = {}
+    for (t, s), node in sorted(g.nodes.items(), reverse=True):
+        bound[(t, s)] = max(
+            (max(arc.reward for arc in g.tree(s, a, dst).arcs.values())
+             + bound[(t + 1, dst)]
+             for a in (node.kept_actions if t < g.horizon else ())
+             for dst, _ in g.outcomes(s, a)), default=0.0)
+    return bound
 
 
 def nonzero_interactions(g: ConditionalReturnGraph,
