@@ -12,8 +12,10 @@ prices a fixed policy by enumerating its execution sequences depth first
 and summing probability-weighted returns with the per-transition
 ``total_reward``, so it does not rely on that decomposition.
 
-Both stay independent of the graph search: nothing here reads the
-conditional return graphs or the search.
+Both price rewards through the instance's one evaluator,
+``TiMmdpInstance.reward``, which the graph build shares, and stay
+independent of the graph search: nothing here reads the conditional return
+graphs or the search.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from .model import (
     JointAction,
     JointState,
     Policy,
-    RewardFunction,
     TiMmdpInstance,
     TimeBudgetExceeded,
     enumerate_successors,
-    reward_value_local,
     total_reward,
 )
 
@@ -116,7 +116,7 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
                     r = expected[k].get(key)
                     if r is None:
                         r = expected[k][key] = _expected_step_reward(
-                            m, m.rewards[k], s, a, outcomes)
+                            m, k, s, a, outcomes)
                     rewards.append(r)
                 reward = math.fsum(rewards)
                 nexts, probs = [], [1.0]
@@ -139,20 +139,20 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
     return DpResult(value=value, values=values, policy=policy, stats=stats)
 
 
-def _expected_step_reward(m: TiMmdpInstance, rf: RewardFunction,
-                          s: JointState, a: JointAction, outcomes) -> float:
-    """E[r_f | s, a]: the probability-weighted fsum of ``rf`` over the
+def _expected_step_reward(m: TiMmdpInstance, k: int, s: JointState,
+                          a: JointAction, outcomes) -> float:
+    """E[r_k | s, a]: the probability-weighted fsum of function k over the
     product of its scope agents' own sorted local outcomes."""
-    states = [s[j] for j in rf.scope]
-    actions = [a[j] for j in rf.scope]
-    per_agent = [zip(*outcomes(j, s[j], a[j])) for j in rf.scope]
+    scope = m.rewards[k].scope
+    per_agent = [zip(*outcomes(j, s[j], a[j])) for j in scope]
     terms = []
     for combo in product(*per_agent):
         p = 1.0
-        for _, q in combo:
+        trs = {}
+        for j, (d, q) in zip(scope, combo):
             p *= q
-        nexts = [d for d, _ in combo]
-        terms.append(p * reward_value_local(m, rf, states, actions, nexts))
+            trs[j] = (s[j], a[j], d)
+        terms.append(p * m.reward(k, trs))
     return math.fsum(terms)
 
 

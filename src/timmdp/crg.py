@@ -17,9 +17,9 @@ under, and the tree's leaf arcs are the product of its agents' classes. An
 agent's labels, class map and completions form one record per distinct
 influence, shared by every tree of the graph that has it. Each leaf arc is
 priced through one completion per other agent, the first available
-transition of its class, with each function's table key read straight off
-the compiled projections, and enters the next layer labeled with the fully
-resolved reward, which is what makes recursive return bounds cheap;
+transition of its class, by the instance's one reward evaluator
+(``TiMmdpInstance.reward``), and enters the next layer labeled with the
+fully resolved reward, which is what makes recursive return bounds cheap;
 resolving an arc during search is one class lookup per tree level.
 """
 
@@ -30,12 +30,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import TiMmdpInstance
+from .model import LocalTransition, TiMmdpInstance
 
 WILDCARD = "*"
 NO_INFLUENCE = "⊥"
-
-LocalTransition = tuple[int, int, int]  # (state, action, next state)
 
 
 class CrgError(Exception):
@@ -57,19 +55,18 @@ class RewardPartition:
 
 
 def partition_rewards(m: TiMmdpInstance,
-                      strategy: str | Mapping[int, Sequence[int]] = "balanced",
+                      fixed: Mapping[int, Sequence[int]] | None = None,
                       ) -> RewardPartition:
     """Split the reward set over agents.
 
-    ``"balanced"`` pins each agent's own local functions to itself and then
-    greedily hands every interaction function to the in-scope agent holding
-    the fewest functions so far (ties to the lowest agent id). Passing a
-    mapping agent -> function indices uses that fixed assignment after
-    checking scope membership, disjointness and completeness.
+    By default each agent's own local functions are pinned to itself and
+    every interaction function is handed greedily to the in-scope agent
+    holding the fewest functions so far (ties to the lowest agent id).
+    Passing a ``fixed`` mapping agent -> function indices uses that
+    assignment after checking scope membership, disjointness and
+    completeness.
     """
-    if isinstance(strategy, str):
-        if strategy != "balanced":
-            raise ValueError(f"unknown partition strategy {strategy!r}")
+    if fixed is None:
         assignment: dict[int, list[int]] = {i: [] for i in m.agents}
         interactions = []
         for k, rf in enumerate(m.rewards):
@@ -83,7 +80,7 @@ def partition_rewards(m: TiMmdpInstance,
             assignment[best].append(k)
         return RewardPartition(assignment)
 
-    assignment = {i: list(strategy.get(i, [])) for i in m.agents}
+    assignment = {i: list(fixed.get(i, [])) for i in m.agents}
     seen: set[int] = set()
     for agent, fns in assignment.items():
         for k in fns:
@@ -107,38 +104,28 @@ def partition_rewards(m: TiMmdpInstance,
 
 
 class InstanceIndex:
-    """Caches of stage reachability, availability, the interaction
-    functions reading each agent, each function's slice and entry indices,
-    its direct pricing key and interaction liveness; state projections are
-    compiled on the instance. A slice index maps, per scope position, each
-    projected (state, action, next state) slice to the member's available
-    (s, s') pairs realizing it, and an entry is realizable when its every
-    slice is in the index.
+    """Caches of availability, the interaction functions reading each
+    agent, each function's slice and entry indices and interaction
+    liveness. Stage reachability, state projections and the reward
+    evaluator (``TiMmdpInstance.reward``) are compiled on the instance. A
+    slice index maps, per scope position, each projected (state, action,
+    next state) slice to the member's available (s, s') pairs realizing
+    it, and an entry is realizable when its every slice is in the index.
     """
 
     def __init__(self, m: TiMmdpInstance):
         self.m = m
-        self.stage_reach = [m.reachable(i) for i in m.agents]
         # Stage-free availability: every (s, a, s') with positive probability.
-        self.available: list[list[LocalTransition]] = []
-        self.by_action: list[dict[int, list[tuple[int, int]]]] = []
-        for i in m.agents:
-            trs = []
-            per_action: dict[int, list[tuple[int, int]]] = {}
-            for (s, a), outs in sorted(m.locals[i].transitions.items()):
-                for dst, _ in sorted(outs):
-                    trs.append((s, a, dst))
-                    per_action.setdefault(a, []).append((s, dst))
-            self.available.append(trs)
-            self.by_action.append(per_action)
+        self.available: list[list[LocalTransition]] = [
+            [(s, a, dst) for (s, a), outs in sorted(local.transitions.items())
+             for dst, _ in sorted(outs)]
+            for local in m.locals]
         self.touching = [tuple(k for k, rf in enumerate(m.rewards)
                                if rf.is_interaction and i in rf.scope)
                          for i in m.agents]
         self._slices: dict[int, tuple[dict[tuple, set], ...]] = {}
         # (function, scope agent) -> (its projection, entries by its slice)
         self._entries: dict[tuple[int, int], tuple[tuple, dict]] = {}
-        # function -> (per scope agent (agent, projection), table, default)
-        self._keys: dict[int, tuple] = {}
         # function -> scope agent -> per stage, the states it is alive from
         self._alive: dict[int, dict[int, list[set[int]]]] = {}
 
@@ -201,26 +188,6 @@ class InstanceIndex:
             self._entries[(rf_index, j)] = (proj, by)
         return self._entries[(rf_index, owner)]
 
-    def reward(self, rf_index: int,
-               trs: Mapping[int, LocalTransition]) -> float:
-        """The function's value when each scope agent j takes ``trs[j]``:
-        its table key is read straight off the compiled projections."""
-        key = self._keys.get(rf_index)
-        if key is None:
-            rf = self.m.rewards[rf_index]
-            key = self._keys[rf_index] = (
-                tuple((j, self.m.projection(j, rf.features_read(j)))
-                      for j in rf.scope), rf.table, rf.default)
-        scope, table, default = key
-        states, actions, nexts = [], [], []
-        for j, proj in scope:
-            s, a, dst = trs[j]
-            states.append(proj[s])
-            actions.append(a)
-            nexts.append(proj[dst])
-        return table.get((tuple(states), tuple(actions), tuple(nexts)),
-                         default)
-
     def interaction_dead(self, agent: int, state: int, stage: int,
                          rf_index: int) -> bool:
         """True when, from this local state onward, the interaction function
@@ -233,8 +200,8 @@ class InstanceIndex:
         function can still yield a nonzero value.
 
         A slice is realizable at stage x when some pair under it starts in
-        its member's ``stage_reach[x]``, so other agents are quantified over
-        everything reachable at matching stages. At stage x an own slice
+        its member's ``m.reachable(j)[x]``, so other agents are quantified
+        over everything reachable at matching stages. At stage x an own slice
         fires when some combination of realizable slices reads nonzero, the
         default counting for unlisted ones: a listed nonzero entry fires its
         own slice, and under a nonzero default so does an own slice listed
@@ -242,7 +209,7 @@ class InstanceIndex:
         make. A state is alive when it is the source of a firing slice or
         has an available transition to a state alive at the next stage. One
         backward sweep per function compiles all members' answers for the
-        states in ``stage_reach``, the only states any caller asks about.
+        reachable states, the only states any caller asks about.
         """
         alive = self._alive.get(rf_index)
         if alive is None:
@@ -261,10 +228,11 @@ class InstanceIndex:
                 if (counting or value != 0.0) and all(
                         sl in src for src, sl in zip(sources, parts)):
                     rows.append((parts, value != 0.0))
+            reach = [self.m.reachable(j) for j in rf.scope]
             for x in range(horizon):
                 live = [{sl for sl, src in sources[pos].items()
-                         if not src.isdisjoint(self.stage_reach[j][x])}
-                        for pos, j in enumerate(rf.scope)]
+                         if not src.isdisjoint(reach[pos][x])}
+                        for pos in positions]
                 # per position, own slice -> realizable combinations listed
                 listed: list[dict[tuple, int]] = [{} for _ in positions]
                 for parts, fires in rows:
@@ -407,7 +375,7 @@ class TransitionTree:
 class CrgNode:
     kept_actions: tuple[int, ...]
     locally_cri: bool
-    represented: bool = True
+    represented: bool
     upper: float = 0.0
     lower: float = 0.0
 
@@ -476,7 +444,10 @@ class _TreeBuilder:
         rewards = index.m.rewards
         self.index, self.owner, self.fns, self.others = (
             index, owner, fns, others)
+        self.reward = index.m.reward
         self.projections = projections
+        # other agent -> the actions of its available transitions
+        self.live = {j: {a for _, a, _ in index.available[j]} for j in others}
         self.readers = [index.entries(k, owner) for k in fns
                         if k in index.touching[owner]]
         self.local_fns = [k for k in fns if not rewards[k].is_interaction]
@@ -494,7 +465,7 @@ class _TreeBuilder:
         if values is None:
             trs = {self.owner: tr}
             values = self.locals[tr] = tuple(
-                self.index.reward(k, trs) for k in self.local_fns)
+                self.reward(k, trs) for k in self.local_fns)
         return values
 
     def tree(self, tr: LocalTransition) -> TransitionTree:
@@ -542,7 +513,7 @@ class _TreeBuilder:
                       + tuple(cls[j][1] for j in inf_agents))
             for j, first, c in zip(inf_agents, completions, combo):
                 trs[j] = first[c]
-            paths.append((labels, tuple(self.index.reward(k, trs)
+            paths.append((labels, tuple(self.reward(k, trs)
                                         for k in self.inter_fns)))
         return _Shape(skeleton=skeleton, records=records,
                       classes={j: records[j].classes for j in inf_agents},
@@ -550,8 +521,7 @@ class _TreeBuilder:
 
     def _record(self, j: int, dep_j: set[int], pairs_j: dict) -> ClassRecord:
         index = self.index
-        nondep_live = [a for a in range(len(index.m.locals[j].actions))
-                       if a not in dep_j and a in index.by_action[j]]
+        nondep_live = sorted(self.live[j] - dep_j)
         # Influence labels per action context actually present; the wildcard
         # context stands for every live non-dependent action.
         contexts: dict[object, list[int]] = {a: [a] for a in sorted(dep_j)}
@@ -587,15 +557,14 @@ class _TreeBuilder:
         return record
 
 
-def _local_optimal_actions(m: TiMmdpInstance, index: InstanceIndex,
-                           owner: int, local_rewards,
+def _local_optimal_actions(m: TiMmdpInstance, owner: int, local_rewards,
                            ) -> dict[tuple[int, int], int]:
     """Backward induction over the owner's reachable local states under its
     own local reward functions only; ties go to the lowest action id. Each
     (state, action)'s outcomes are priced once, whatever stages it recurs at.
     """
     local = m.locals[owner]
-    reach = index.stage_reach[owner]
+    reach = m.reachable(owner)
     values = {(m.horizon, s): 0.0 for s in reach[m.horizon]}
     steps: dict[tuple[int, int], list] = {}
     choice: dict[tuple[int, int], int] = {}
@@ -657,14 +626,17 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     projections = {j: m.projection(j, feature_level[j]) for j in others}
 
     local = m.locals[i]
-    reach = index.stage_reach[i]
+    reach = m.reachable(i)
     builder = _TreeBuilder(index, i, fns, others, projections)
     local_opt = None  # compiled at the first independent node
     alive = [index.alive(k)[i] for k in index.touching[i]]
 
     nodes: dict[tuple[int, int], CrgNode] = {}
     trees: dict[LocalTransition, TransitionTree] = {}
+    # the states that kept actions reach from the initial one: represented
+    frontier = {m.initial[i]}
     for t in range(m.horizon + 1):
+        nxt: set[int] = set()
         for s in sorted(reach[t]):
             cri = not any(s in sets[t] for sets in alive)
             avail = local.available(s) if t < m.horizon else ()
@@ -672,20 +644,25 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             if cri and avail:
                 if local_opt is None:
                     local_opt = _local_optimal_actions(
-                        m, index, i, builder.local_rewards)
+                        m, i, builder.local_rewards)
                 kept = (local_opt[(t, s)],)
-            nodes[(t, s)] = CrgNode(kept_actions=kept, locally_cri=cri)
+            represented = s in frontier
+            nodes[(t, s)] = CrgNode(kept_actions=kept, locally_cri=cri,
+                                    represented=represented)
+            if represented:
+                nxt.update(dst for a in kept
+                           for dst, _ in local.outcomes(s, a))
             for a in avail:
                 for dst, _ in local.outcomes(s, a):
                     tr = (s, a, dst)
                     if tr not in trees:
                         trees[tr] = builder.tree(tr)
+        frontier = nxt
 
     g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
                                scope=tuple(scope), feature_level=feature_level,
                                nodes=nodes, trees=trees, instance=m,
                                index=index)
-    _mark_represented(g)
     annotate_bounds(g)
     return g
 
@@ -696,23 +673,6 @@ def build_crgs(m: TiMmdpInstance, partition: RewardPartition | None = None,
     partition = partition or partition_rewards(m)
     index = InstanceIndex(m)
     return {i: build_crg(m, partition, i, index=index) for i in m.agents}
-
-
-def _mark_represented(g: ConditionalReturnGraph) -> None:
-    for node in g.nodes.values():
-        node.represented = False
-    frontier = {g.instance.initial[g.owner]}
-    g.nodes[(0, next(iter(frontier)))].represented = True
-    for t in range(g.horizon):
-        nxt: set[int] = set()
-        for s in frontier:
-            node = g.nodes[(t, s)]
-            node.represented = True
-            for a in node.kept_actions:
-                nxt.update(dst for dst, _ in g.outcomes(s, a))
-        for s in nxt:
-            g.nodes[(t + 1, s)].represented = True
-        frontier = nxt
 
 
 def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:

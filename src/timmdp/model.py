@@ -5,7 +5,8 @@ local MDPs; only rewards read across agents. Joint states and actions are
 fixed-length tuples of local ids indexed by agent, so projecting onto one
 agent is a constant-time index. Reward functions are sparse tables over the
 local transitions of their scope plus an explicit default for everything
-unlisted - the sparsity is what the rest of the package exploits.
+unlisted - the sparsity is what the rest of the package exploits - and
+``TiMmdpInstance.reward`` is the one evaluator every solver prices them by.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ PROB_TOL = 1e-9
 
 JointState = tuple[int, ...]
 JointAction = tuple[int, ...]
+
+LocalTransition = tuple[int, int, int]  # (state, action, next state)
 
 # (state id, action id) -> ((next state id, probability), ...)
 LocalTransitionModel = Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
@@ -108,6 +111,10 @@ class TiMmdpInstance:
     # agent -> its per-stage reachable states; a cache like the projections
     _reach: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # reward index -> its scope's (agent, projection) pairs and the function;
+    # a cache like the projections
+    _keys: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -134,6 +141,29 @@ class TiMmdpInstance:
                           for st in states))
             self._projections[key] = proj
         return proj
+
+    def reward(self, k: int, trs: Mapping[int, LocalTransition]
+               | Sequence[LocalTransition]) -> float:
+        """Reward function k's value when each scope agent j takes the local
+        transition ``trs[j]`` = (s, a, s'); ``trs`` may be a mapping or an
+        agent-indexed sequence. The one reward evaluator of the package: the
+        table key is read off the compiled projections, which are looked up
+        once per function."""
+        key = self._keys.get(k)
+        if key is None:
+            rf = self.rewards[k]
+            key = self._keys[k] = (
+                tuple((j, self.projection(j, rf.features_read(j)))
+                      for j in rf.scope), rf)
+        scope, rf = key
+        states, actions, nexts = [], [], []
+        for j, proj in scope:
+            s, a, dst = trs[j]
+            states.append(proj[s])
+            actions.append(a)
+            nexts.append(proj[dst])
+        return rf.table.get((tuple(states), tuple(actions), tuple(nexts)),
+                            rf.default)
 
     def reachable(self, agent: int) -> tuple[frozenset[int], ...]:
         """Per stage, the agent's local states reachable from its initial
@@ -181,42 +211,11 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.message}"
 
 
-def reward_key(m: TiMmdpInstance, rf: RewardFunction,
-               states: Sequence[int], actions: Sequence[int],
-               next_states: Sequence[int]) -> tuple:
-    """Table key for local components given in scope order."""
-    s_part, n_part = [], []
-    for pos, j in enumerate(rf.scope):
-        feats = rf.features_read(j)
-        if feats is None:
-            s_part.append(states[pos])
-            n_part.append(next_states[pos])
-        else:
-            proj = m.projection(j, feats)
-            s_part.append(proj[states[pos]])
-            n_part.append(proj[next_states[pos]])
-    return tuple(s_part), tuple(actions), tuple(n_part)
-
-
-def reward_value_local(m: TiMmdpInstance, rf: RewardFunction,
-                       states: Sequence[int], actions: Sequence[int],
-                       next_states: Sequence[int]) -> float:
-    """Evaluate one reward function on scope-ordered local components."""
-    return rf.table.get(reward_key(m, rf, states, actions, next_states), rf.default)
-
-
-def reward_value(m: TiMmdpInstance, rf: RewardFunction,
-                 s: JointState, a: JointAction, s_next: JointState) -> float:
-    states = [s[j] for j in rf.scope]
-    actions = [a[j] for j in rf.scope]
-    nexts = [s_next[j] for j in rf.scope]
-    return reward_value_local(m, rf, states, actions, nexts)
-
-
 def total_reward(m: TiMmdpInstance, s: JointState, a: JointAction,
                  s_next: JointState) -> float:
     """Team reward for one joint transition: the sum over all reward functions."""
-    return math.fsum(reward_value(m, rf, s, a, s_next) for rf in m.rewards)
+    trs = tuple(zip(s, a, s_next))
+    return math.fsum(m.reward(k, trs) for k in range(len(m.rewards)))
 
 
 def enumerate_successors(m: TiMmdpInstance, s: JointState,

@@ -28,12 +28,7 @@ from timmdp.domains import (
     gen_pyra,
     gen_random_mpp,
 )
-from timmdp.model import (
-    enumerate_successors,
-    reward_value_local,
-    total_reward,
-    validate_instance,
-)
+from timmdp.model import enumerate_successors, validate_instance
 from timmdp.rng import SplitMix64, stream
 from timmdp.search import SearchConfig, TimeBudgetExceeded, core_solve
 
@@ -42,6 +37,8 @@ from util import (
     best_open_loop_value,
     random_execution_sequence,
     random_instance,
+    reference_total_reward,
+    reward_value_local,
     sequence_return,
 )
 
@@ -115,7 +112,7 @@ def test_criterion_3_return_decomposition():
             phi = random_execution_sequence(m, rng)
             total, per = sequence_return(m, phi)
             assert math.fsum(per.values()) == total
-            step_major = math.fsum(total_reward(m, s, a, s2)
+            step_major = math.fsum(reference_total_reward(m, s, a, s2)
                                    for s, a, s2 in phi.transitions())
             assert total == step_major
             sequences += 1
@@ -173,7 +170,8 @@ def test_criterion_4_decoupling():
                 best = None
                 for a in m.joint_actions(s):
                     q = math.fsum(
-                        p * (total_reward(m, s, a, s2) + composed[(t + 1, s2)])
+                        p * (reference_total_reward(m, s, a, s2)
+                             + composed[(t + 1, s2)])
                         for s2, p in enumerate_successors(m, s, a))
                     best = q if best is None else max(best, q)
                 composed[(t, s)] = best
@@ -205,18 +203,18 @@ def test_criterion_5_wildcard_soundness_and_completeness():
                     g, (s[i], a[i], s2[i]),
                     {j: tr for j, tr in context.items() if j != i})
                 parts.extend(arc.components)
-            assert math.fsum(parts) == total_reward(m, s, a, s2), (k, t, s, a)
+            assert math.fsum(parts) == reference_total_reward(m, s, a, s2), \
+                (k, t, s, a)
         for i, g in crgs.items():
             for tr in list(g.trees)[:10]:
                 for j in (q for q in g.scope if q != i):
                     deps = g.trees[tr].records[j].deps
                     rewards = set()
-                    for b in range(len(m.locals[j].actions)):
+                    for s_j, b, n_j in g.index.available[j]:
                         if b in deps:
                             continue
-                        for s_j, n_j in g.index.by_action[j].get(b, []):
-                            arc = resolve_arc(g, tr, {j: (s_j, b, n_j)})
-                            rewards.add(arc.reward)
+                        arc = resolve_arc(g, tr, {j: (s_j, b, n_j)})
+                        rewards.add(arc.reward)
                     assert len(rewards) <= 1, (k, i, tr, j)
         passed += 1
     verdict(5, passed == 50,

@@ -21,7 +21,7 @@ from timmdp.crg import (
     transition_influence,
 )
 from timmdp.domains import example_partition, example_two_agent
-from timmdp.model import RewardFunction, reward_value, total_reward
+from timmdp.model import RewardFunction
 
 from test_crg_fingerprint import CASES as FINGERPRINT_CASES
 from util import (
@@ -33,7 +33,9 @@ from util import (
     fresh_classes,
     random_instance,
     reference_live,
+    reference_total_reward,
     reference_transition_influence,
+    reward_value,
     with_interaction_default,
     with_negative_rewards,
     worst_path_upper,
@@ -294,16 +296,20 @@ class TestEntryIndex:
                                 index, fns, i, tr)), (i, fns, tr)
 
     def test_direct_pricing_matches_the_table_key(self):
+        """``TiMmdpInstance.reward``, which prices every arc, agrees with the
+        reference evaluator on every joint transition, given the scope's
+        transitions as a mapping or as an agent-indexed tuple."""
         for seed in range(6):
             m = random_instance(seed, n_agents=2 + seed % 2,
                                 feature_scoped=seed % 3 != 0,
                                 n_interactions=2)
-            index = InstanceIndex(m)
             for _, s, a, s2, _ in all_joint_transitions(m):
-                trs = {j: (s[j], a[j], s2[j]) for j in m.agents}
+                trs = tuple(zip(s, a, s2))
                 for k, rf in enumerate(m.rewards):
-                    assert index.reward(k, trs) == reward_value(
-                        m, rf, s, a, s2), (seed, k, s, a, s2)
+                    want = reward_value(m, rf, s, a, s2)
+                    assert m.reward(k, trs) == want, (seed, k, s, a, s2)
+                    assert m.reward(k, {j: trs[j] for j in rf.scope}) \
+                        == want, (seed, k, s, a, s2)
 
     @settings(deadline=None, max_examples=40)
     @given(m=influence_draws())
@@ -354,7 +360,7 @@ class TestBuild:
                                 feature_scoped=True, n_interactions=2)
             crgs = build_crgs(m)
             for t, s, a, s2, _ in all_joint_transitions(m):
-                want = total_reward(m, s, a, s2)
+                want = reference_total_reward(m, s, a, s2)
                 got = crg_reward_sum(m, crgs, t, s, a, s2)
                 assert got == want, (seed, t, s, a, s2)
 
@@ -393,22 +399,17 @@ class TestBuild:
             m = random_instance(seed, feature_scoped=True)
             crgs = build_crgs(m)
             for i, g in crgs.items():
-                by_action = g.index.by_action
                 for tr, tree in g.trees.items():
                     for j in (q for q in g.scope if q != i):
-                        nondep = [
-                            a for a in range(len(m.locals[j].actions))
-                            if a not in tree.records[j].deps and by_action[j].get(a)]
+                        deps = tree.records[j].deps
                         labels = tree.records[j].inf_labels.get(WILDCARD, ())
                         proj = m.projection(j, g.feature_level[j])
                         rewards = set()
-                        for a in nondep:
-                            for s_j, n_j in by_action[j][a]:
-                                if (proj[s_j], proj[n_j]) in labels:
-                                    continue
-                                ctx = {j: (s_j, a, n_j)}
-                                arc = resolve_arc(g, tr, ctx)
-                                rewards.add(arc.reward)
+                        for s_j, a, n_j in available_transitions(m, j):
+                            if a in deps or (proj[s_j], proj[n_j]) in labels:
+                                continue
+                            arc = resolve_arc(g, tr, {j: (s_j, a, n_j)})
+                            rewards.add(arc.reward)
                         assert len(rewards) <= 1, (seed, i, tr, j)
 
 
@@ -619,7 +620,7 @@ class TestLocalCri:
             if not rf.is_interaction:
                 continue
             for i in rf.scope:
-                for t, states in enumerate(index.stage_reach[i]):
+                for t, states in enumerate(m.reachable(i)):
                     for s in states:
                         assert index.interaction_dead(i, s, t, k) == (
                             not bf_interaction_alive(m, k, i, s, t)), \

@@ -109,7 +109,7 @@ def criterion_7_instance(k: int):
 def _example(partition):
     def build():
         m = example_two_agent()
-        part = partition_rewards(m, partition() if partition else "balanced")
+        part = partition_rewards(m, partition() if partition else None)
         return build_crgs(m, part)
     return build
 

@@ -12,8 +12,6 @@ from timmdp.model import (
     TiMmdpInstance,
     enumerate_successors,
     reachable_local_states,
-    reward_key,
-    reward_value,
     total_reward,
     validate_instance,
 )
@@ -25,7 +23,9 @@ from util import (
     joint_transition_probability,
     random_execution_sequence,
     random_instance,
+    reward_value,
     sequence_return,
+    with_interaction_default,
 )
 from timmdp.rng import SplitMix64
 
@@ -151,30 +151,47 @@ class TestTotalReward:
                 assert total_reward(m, s, a, s2) == direct
 
 
+class TestReward:
+    def test_pins_hand_written_keys(self):
+        """A local function keyed by plain state ids, and an interaction
+        reading one feature of agent 0 and, through the empty feature
+        tuple, only agent 1's action, with a listed zero and a nonzero
+        default."""
+        m = replace(two_agent_fixture(), rewards=[
+            RewardFunction(scope=(0,), table={((0,), (0,), (1,)): 5.0}),
+            RewardFunction(
+                scope=(0, 1), default=-1.5,
+                feature_scope={0: ("par",), 1: ()},
+                table={(((0,), ()), (0, 1), ((1,), ())): 4.0,
+                       (((1,), ()), (0, 1), ((0,), ())): 0.0})])
+        assert m.reward(0, {0: (0, 0, 1)}) == 5.0
+        assert m.reward(0, ((0, 0, 1), (1, 1, 1))) == 5.0
+        assert m.reward(0, {0: (2, 1, 2)}) == 0.0
+        # agent 1's states are not read: any move under action 1 matches
+        assert m.reward(1, {0: (0, 0, 1), 1: (0, 1, 0)}) == 4.0
+        assert m.reward(1, ((2, 0, 1), (1, 1, 1))) == 4.0
+        assert m.reward(1, {0: (1, 0, 2), 1: (1, 1, 1)}) == 0.0
+        # unlisted keys earn the default
+        assert m.reward(1, {0: (0, 0, 1), 1: (0, 0, 1)}) == -1.5
+        assert m.reward(1, {0: (2, 1, 2), 1: (0, 1, 0)}) == -1.5
+
+
 class TestProjections:
-    def test_reward_key_reads_the_compiled_tables(self):
+    def test_reward_reads_the_compiled_tables(self):
+        """Projections are compiled once per (agent, feature tuple), and the
+        evaluator reading them agrees with the reference evaluator on an
+        instance with feature-scoped functions."""
         m = compile_mpp(gen_pyra(4, 2, seed=2))
         for rf in m.rewards:
             for j in rf.scope:
                 feats = rf.features_read(j)
                 table = m.projection(j, feats)
                 assert table is m.projection(j, feats)
+        assert any(rf.feature_scope for rf in m.rewards)
         for t, s, a, s2, _ in _some_transitions(m, 40):
-            for rf in m.rewards:
-                parts = []
-                for comp in (s, s2):
-                    part = []
-                    for j in rf.scope:
-                        feats = rf.features_read(j)
-                        st = m.locals[j].states[comp[j]]
-                        part.append(comp[j] if feats is None else
-                                    tuple(st.features[f] for f in feats))
-                    parts.append(tuple(part))
-                states = [s[j] for j in rf.scope]
-                actions = [a[j] for j in rf.scope]
-                nexts = [s2[j] for j in rf.scope]
-                assert reward_key(m, rf, states, actions, nexts) == (
-                    parts[0], tuple(actions), parts[1])
+            trs = tuple(zip(s, a, s2))
+            for k, rf in enumerate(m.rewards):
+                assert m.reward(k, trs) == reward_value(m, rf, s, a, s2)
 
     def test_cache_stays_out_of_equality_repr_and_bytes(self):
         m = random_instance(6, feature_scoped=True)
@@ -182,10 +199,21 @@ class TestProjections:
         text, shown = write_instance(m), repr(m)
         for _, s, a, s2, _ in _some_transitions(m, 40):
             total_reward(m, s, a, s2)
-        assert m._projections
+        assert m._projections and m._keys
         assert m == twin and repr(m) == shown
         assert write_instance(m) == text
-        assert replace(m)._projections == {}
+        assert replace(m)._projections == {} and replace(m)._keys == {}
+        # a copy with a new default and shifted table prices its own values
+        shifted = with_interaction_default(m, default=2.5, shift=1.0)
+        assert shifted._keys == {}
+        moved = 0
+        for _, s, a, s2, _ in _some_transitions(m, 40):
+            trs = tuple(zip(s, a, s2))
+            for k, rf in enumerate(shifted.rewards):
+                got = shifted.reward(k, trs)
+                assert got == reward_value(shifted, rf, s, a, s2)
+                moved += got != m.reward(k, trs)
+        assert moved
 
 
 class TestAvailable:

@@ -367,7 +367,8 @@ class TestJointActionBounds:
         assert lo == hi
 
     def test_q_values_lie_within_bounds(self):
-        from timmdp.model import enumerate_successors, total_reward
+        from timmdp.model import enumerate_successors
+        from util import reference_total_reward
 
         for seed in range(15):
             m = random_instance(seed, n_agents=2, feature_scoped=True)
@@ -380,7 +381,7 @@ class TestJointActionBounds:
                 for s in frontier:
                     for a in m.joint_actions(s):
                         q = math.fsum(
-                            p * (total_reward(m, s, a, s2)
+                            p * (reference_total_reward(m, s, a, s2)
                                  + dp.values[(t + 1, s2)])
                             for s2, p in enumerate_successors(m, s, a))
                         lo, hi = joint_action_bounds(crgs, t, agents, s, a)

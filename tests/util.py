@@ -1,18 +1,23 @@
-"""Shared test helpers: seeded random instances, brute-force oracles,
-execution sequences and the best open-loop plan, the full row-product
-reference for the search's factored bounds and values, the reference
-liveness ``reference_live`` read off each graph's arcs, the reference
-partition ``components`` built on it that the search's signature partitions
-are checked against, the full-scan ``reference_transition_influence`` and
-the unshared ``fresh_classes`` that the graphs' entry index and shared class
-records are checked against, the best-path bound ``worst_path_upper`` that
-node upper bounds may not exceed, and small queries of the search and of
-policies.
+"""Shared test helpers: seeded random instances, the reference reward
+evaluator ``reward_value_local`` (with ``reward_value`` and
+``reference_total_reward`` on joint transitions) that
+``TiMmdpInstance.reward``, the package's one evaluator, is checked against,
+brute-force oracles, execution sequences and the best open-loop plan, the
+full row-product reference for the search's factored bounds and values, the
+reference liveness ``reference_live`` read off each graph's arcs, the
+reference partition ``components`` built on it that the search's signature
+partitions are checked against, the full-scan
+``reference_transition_influence`` and the unshared ``fresh_classes`` that
+the graphs' entry index and shared class records are checked against, the
+best-path bound ``worst_path_upper`` that node upper bounds may not exceed,
+and small queries of the search and of policies.
 
 The oracles re-state the definitions directly over concrete transitions -
-no table-entry shortcuts, no caching - so they stay independent of the
-implementation paths they check. The queries at the end call the graphs'
-and the search's own functions.
+no table-entry shortcuts, no caching - and price rewards through the
+reference evaluator, which builds each table key from the states' own
+features rather than from the instance's compiled projections, so they
+stay independent of the implementation paths they check. The queries at
+the end call the graphs' and the search's own functions.
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ from timmdp.model import (
     TiMmdpInstance,
     enumerate_successors,
     reachable_local_states,
-    reward_value,
-    reward_value_local,
-    total_reward,
 )
 from timmdp.search import _groups
 from timmdp.rng import SplitMix64
@@ -263,6 +265,44 @@ def rng_sample(rng: SplitMix64, population, k: int) -> list:
 
 def rng_shuffle(rng: SplitMix64, items: list) -> None:
     rng.shuffle(items)
+
+
+# ---------------------------------------------------------------------------
+# Reference reward evaluator
+
+
+def reward_value_local(m: TiMmdpInstance, rf: RewardFunction,
+                       states: Sequence[int], actions: Sequence[int],
+                       next_states: Sequence[int]) -> float:
+    """One reward function on scope-ordered local components: each state
+    enters the table key as the tuple of the features the function reads
+    of its agent, or as its id without a feature scope."""
+    s_part, n_part = [], []
+    for j, s, dst in zip(rf.scope, states, next_states):
+        feats = rf.features_read(j)
+        if feats is None:
+            s_part.append(s)
+            n_part.append(dst)
+        else:
+            st = m.locals[j].states
+            s_part.append(tuple([st[s].features[f] for f in feats]))
+            n_part.append(tuple([st[dst].features[f] for f in feats]))
+    return rf.table.get((tuple(s_part), tuple(actions), tuple(n_part)),
+                        rf.default)
+
+
+def reward_value(m: TiMmdpInstance, rf: RewardFunction, s: JointState,
+                 a: JointAction, s_next: JointState) -> float:
+    """One reward function on a joint transition."""
+    return reward_value_local(m, rf, [s[j] for j in rf.scope],
+                              [a[j] for j in rf.scope],
+                              [s_next[j] for j in rf.scope])
+
+
+def reference_total_reward(m: TiMmdpInstance, s: JointState, a: JointAction,
+                           s_next: JointState) -> float:
+    """Team reward of a joint transition: the fsum over all functions."""
+    return math.fsum(reward_value(m, rf, s, a, s_next) for rf in m.rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +538,9 @@ def all_joint_transitions(m: TiMmdpInstance):
 
 def naive_dp(m: TiMmdpInstance) -> DpResult:
     """Backward induction over the reachable joint states that prices every
-    joint successor with the per-transition ``total_reward``: the plain
-    definition ``dp_solve``'s expected-reward decomposition must match."""
+    joint successor with the per-transition ``reference_total_reward``: the
+    plain definition that ``dp_solve``'s expected-reward decomposition must
+    match."""
     layers = [{tuple(m.initial)}]
     for t in range(m.horizon):
         nxt = set()
@@ -518,7 +559,8 @@ def naive_dp(m: TiMmdpInstance) -> DpResult:
             for a in sorted(m.joint_actions(s)):
                 expanded += 1
                 q = math.fsum(
-                    p * (total_reward(m, s, a, s2) + values[(t + 1, s2)])
+                    p * (reference_total_reward(m, s, a, s2)
+                         + values[(t + 1, s2)])
                     for s2, p in enumerate_successors(m, s, a))
                 if best is None or q > best:
                     best, best_a = q, a
@@ -635,7 +677,8 @@ def best_open_loop_value(m: TiMmdpInstance, limit: int = 200_000) -> float:
             if (t, s) not in cache:
                 a = tuple(combo[i][(t, s[i])] for i in m.agents)
                 cache[(t, s)] = math.fsum(
-                    p * (total_reward(m, s, a, s2) + value(t + 1, s2))
+                    p * (reference_total_reward(m, s, a, s2)
+                         + value(t + 1, s2))
                     for s2, p in enumerate_successors(m, s, a))
             return cache[(t, s)]
 
@@ -816,7 +859,7 @@ def policy_value_by_induction(m: TiMmdpInstance, pi) -> float:
         if key not in cache:
             a = pi.action(t, s)
             cache[key] = math.fsum(
-                p * (total_reward(m, s, a, s2) + value(t + 1, s2))
+                p * (reference_total_reward(m, s, a, s2) + value(t + 1, s2))
                 for s2, p in enumerate_successors(m, s, a))
         return cache[key]
 
