@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import baselines, domains, formats, search
-from .crg import build_crgs, partition_rewards
+from .crg import build_crgs
 from .model import TiMmdpInstance, validate_instance
 from .search import SearchConfig
 
@@ -66,7 +66,7 @@ def _solve_once(name: str, m: TiMmdpInstance, algorithm: str,
         else:
             value, stats = result.value, result.stats
     else:
-        crgs = build_crgs(m, partition_rewards(m))
+        crgs = build_crgs(m)
         remaining = None
         if time_limit is not None:
             remaining = time_limit - (time.perf_counter() - start)
@@ -161,7 +161,7 @@ def _cmd_export_dot(args) -> int:
     if not 0 <= args.agent < m.n_agents:
         _err(f"agent {args.agent} outside [0, {m.n_agents})")
         return EXIT_USAGE
-    crgs = build_crgs(m, partition_rewards(m))
+    crgs = build_crgs(m)
     sys.stdout.write(formats.export_dot(crgs[args.agent], bounds=args.bounds))
     return EXIT_OK
 

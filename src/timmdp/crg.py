@@ -355,6 +355,8 @@ class TransitionTree:
     records: dict[int, ClassRecord]        # every other scope agent's record
     classes: dict[int, dict]               # skeleton agent -> record classes
     arcs: dict[tuple, CrgArc]
+    best: float                            # the best and worst arc reward
+    worst: float
 
     @property
     def degenerate(self) -> bool:
@@ -488,9 +490,11 @@ class _TreeBuilder:
                 values = tuple([both[q] for q in self.order])
                 arcs[labels] = CrgArc(components=values,
                                       reward=math.fsum(values))
+            rewards = [arc.reward for arc in arcs.values()]
             tree = shape.trees[local] = TransitionTree(
                 skeleton=shape.skeleton, records=shape.records,
-                classes=shape.classes, arcs=arcs)
+                classes=shape.classes, arcs=arcs, best=max(rewards),
+                worst=min(rewards))
         return tree
 
     def _shape(self, tr_i: LocalTransition, influence: dict) -> _Shape:
@@ -557,48 +561,31 @@ class _TreeBuilder:
         return record
 
 
-def _local_optimal_actions(m: TiMmdpInstance, owner: int, local_rewards,
-                           ) -> dict[tuple[int, int], int]:
-    """Backward induction over the owner's reachable local states under its
-    own local reward functions only; ties go to the lowest action id. Each
-    (state, action)'s outcomes are priced once, whatever stages it recurs at.
-    """
-    local = m.locals[owner]
-    reach = m.reachable(owner)
-    values = {(m.horizon, s): 0.0 for s in reach[m.horizon]}
-    steps: dict[tuple[int, int], list] = {}
-    choice: dict[tuple[int, int], int] = {}
-    for t in range(m.horizon - 1, -1, -1):
-        for s in reach[t]:
-            best, best_a = None, None
-            for a in local.available(s):
-                step = steps.get((s, a))
-                if step is None:
-                    step = steps[(s, a)] = [
-                        (dst, p, math.fsum(local_rewards((s, a, dst))))
-                        for dst, p in local.outcomes(s, a)]
-                q = math.fsum(p * (r + values[(t + 1, dst)])
-                              for dst, p, r in step)
-                if best is None or q > best:
-                    best, best_a = q, a
-            values[(t, s)] = best if best is not None else 0.0
-            if best_a is not None:
-                choice[(t, s)] = best_a
-    return choice
-
-
 def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
               index: InstanceIndex | None = None) -> ConditionalReturnGraph:
     """Construct agent i's conditional return graph for its assigned rewards.
 
     Other agents appear in the trees in ascending id order. Feature-level
     influence arcs are used for agent j whenever every assigned function
-    reading j declares a feature scope for it. States from which no future
-    interaction involving the owner can fire are flagged conditionally
-    reward independent and keep only their locally optimal action, so the
-    represented graph and its bounds leave the other actions out; trees are
-    still built for every available transition, which keeps them resolvable.
-    Bounds are annotated before returning.
+    reading j declares a feature scope for it.
+
+    One backward sweep over the owner's reachable states, from stage h down
+    to 0, decides each node. It builds the tree of every available
+    transition on first use, which keeps every transition resolvable, and
+    takes the owner's best return under its local functions only (ties to
+    the lowest action id). A state from which no future interaction
+    involving the owner can fire is flagged conditionally reward
+    independent and keeps only that locally optimal action, so the
+    represented graph and its bounds leave the other actions out. The
+    node's upper bound is the best, over kept actions, of the expected
+    return over the owner's own outcomes, each outcome taking its tree's
+    best arc reward plus the upper bound of its next node. Transition
+    independence fixes the owner's outcome distribution whatever the other
+    agents do, so only their behavior is maximized over, and the bound
+    stays admissible. The lower bound is the worst return along any kept
+    action, outcome and arc. Layer-h nodes carry zero. A forward sweep from
+    the initial state then marks the nodes that kept actions reach as
+    represented.
     """
     assigned_everywhere = {k for fns in partition.assignment.values() for k in fns}
     for k, rf in enumerate(m.rewards):
@@ -625,46 +612,64 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
             feature_level[j] = None
     projections = {j: m.projection(j, feature_level[j]) for j in others}
 
-    local = m.locals[i]
-    reach = m.reachable(i)
+    local, reach, horizon = m.locals[i], m.reachable(i), m.horizon
     builder = _TreeBuilder(index, i, fns, others, projections)
-    local_opt = None  # compiled at the first independent node
     alive = [index.alive(k)[i] for k in index.touching[i]]
 
     nodes: dict[tuple[int, int], CrgNode] = {}
     trees: dict[LocalTransition, TransitionTree] = {}
-    # the states that kept actions reach from the initial one: represented
-    frontier = {m.initial[i]}
-    for t in range(m.horizon + 1):
-        nxt: set[int] = set()
+    # (s, a) -> per outcome (next state, probability, local reward, tree)
+    steps: dict[tuple[int, int], list] = {}
+    # per state of the next stage, the owner's best return under its local
+    # functions only, and its node
+    below: dict[int, tuple[float, CrgNode]] = {}
+    for t in range(horizon, -1, -1):
+        here = {}
         for s in sorted(reach[t]):
-            cri = not any(s in sets[t] for sets in alive)
-            avail = local.available(s) if t < m.horizon else ()
-            kept = avail
-            if cri and avail:
-                if local_opt is None:
-                    local_opt = _local_optimal_actions(
-                        m, i, builder.local_rewards)
-                kept = (local_opt[(t, s)],)
-            represented = s in frontier
-            nodes[(t, s)] = CrgNode(kept_actions=kept, locally_cri=cri,
-                                    represented=represented)
-            if represented:
-                nxt.update(dst for a in kept
-                           for dst, _ in local.outcomes(s, a))
+            avail = local.available(s) if t < horizon else ()
+            best = best_a = None
             for a in avail:
-                for dst, _ in local.outcomes(s, a):
-                    tr = (s, a, dst)
-                    if tr not in trees:
-                        trees[tr] = builder.tree(tr)
-        frontier = nxt
+                step = steps.get((s, a))
+                if step is None:
+                    step = steps[(s, a)] = []
+                    for dst, p in local.outcomes(s, a):
+                        tr = (s, a, dst)
+                        trees[tr] = tree = builder.tree(tr)
+                        step.append((dst, p, math.fsum(
+                            builder.local_rewards(tr)), tree))
+                q = math.fsum(p * (r + below[dst][0])
+                              for dst, p, r, _ in step)
+                if best is None or q > best:
+                    best, best_a = q, a
+            cri = not any(s in sets[t] for sets in alive)
+            kept = (best_a,) if cri and avail else avail
+            ups, downs = [], []
+            for a in kept:
+                up = []
+                for dst, p, _, tree in steps[(s, a)]:
+                    child = below[dst][1]
+                    up.append(p * (tree.best + child.upper))
+                    downs.append(tree.worst + child.lower)
+                ups.append(math.fsum(up))
+            node = nodes[(t, s)] = CrgNode(
+                kept_actions=kept, locally_cri=cri, represented=False,
+                upper=max(ups, default=0.0), lower=min(downs, default=0.0))
+            here[s] = (best if best is not None else 0.0, node)
+        below = here
 
-    g = ConditionalReturnGraph(owner=i, horizon=m.horizon, functions=fns,
-                               scope=tuple(scope), feature_level=feature_level,
-                               nodes=nodes, trees=trees, instance=m,
-                               index=index)
-    annotate_bounds(g)
-    return g
+    # the states that kept actions reach from the initial one
+    frontier = {m.initial[i]}
+    for t in range(horizon + 1):
+        for s in frontier:
+            nodes[(t, s)].represented = True
+        frontier = {dst for s in frontier
+                    for a in nodes[(t, s)].kept_actions
+                    for dst, _ in local.outcomes(s, a)}
+
+    return ConditionalReturnGraph(
+        owner=i, horizon=horizon, functions=fns, scope=tuple(scope),
+        feature_level=feature_level, nodes=nodes, trees=trees, instance=m,
+        index=index)
 
 
 def build_crgs(m: TiMmdpInstance, partition: RewardPartition | None = None,
@@ -673,47 +678,6 @@ def build_crgs(m: TiMmdpInstance, partition: RewardPartition | None = None,
     partition = partition or partition_rewards(m)
     index = InstanceIndex(m)
     return {i: build_crg(m, partition, i, index=index) for i in m.agents}
-
-
-def annotate_bounds(g: ConditionalReturnGraph) -> ConditionalReturnGraph:
-    """One backward pass filling per-node return bounds.
-
-    The upper bound at a node is the best, over its kept actions, of the
-    expected return over the owner's own outcomes, each outcome taking its
-    tree's best arc reward plus the upper bound of its next node. Transition
-    independence fixes the owner's outcome distribution whatever the other
-    agents do, so only their behavior is maximized over, and the bound
-    stays admissible. The lower bound is the worst return along any kept
-    action, outcome and arc. Layer-h nodes carry zero.
-    """
-    # per tree, its (best, worst) arc reward; transitions share trees
-    spans: dict[int, tuple[float, float]] = {}
-    nodes, trees = g.nodes, g.trees
-    outcomes = g.instance.locals[g.owner].outcomes
-    for (t, s), node in sorted(nodes.items(), reverse=True):
-        if t == g.horizon:
-            node.upper = node.lower = 0.0
-            continue
-        hi = lo = None
-        for a in node.kept_actions:
-            ups = []
-            for dst, p in outcomes(s, a):
-                child = nodes[(t + 1, dst)]
-                tree = trees[(s, a, dst)]
-                span = spans.get(id(tree))
-                if span is None:
-                    rewards = [arc.reward for arc in tree.arcs.values()]
-                    span = spans[id(tree)] = (max(rewards), min(rewards))
-                ups.append(p * (span[0] + child.upper))
-                dn = span[1] + child.lower
-                if lo is None or dn < lo:
-                    lo = dn
-            up = math.fsum(ups)
-            if hi is None or up > hi:
-                hi = up
-        node.upper = hi if hi is not None else 0.0
-        node.lower = lo if lo is not None else 0.0
-    return g
 
 
 # ---------------------------------------------------------------------------

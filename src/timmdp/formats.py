@@ -300,7 +300,8 @@ def write_policy(policy: Policy) -> str:
 def read_policy(text: str, m: TiMmdpInstance) -> Policy:
     """Parse a policy document for instance ``m``: one state id and one
     action id per agent in every entry, each action available in its
-    agent's state. Errors carry the field path."""
+    agent's state, and at most one entry per (stage, state). Errors carry
+    the field path."""
     doc = _fields(_parse(text), {"schema_version": ANY, "n_agents": INTEGER,
                                  "entries": LIST}, "$",
                   optional=("schema_version",))
@@ -319,6 +320,9 @@ def read_policy(text: str, m: TiMmdpInstance) -> Policy:
             if (s, a) not in m.locals[i].transitions:
                 raise FormatError(f"agent {i} has no action {a} in state {s}",
                                   f"{path}.action[{i}]")
+        if (entry["t"], state) in entries:
+            raise FormatError(f"a second entry for stage {entry['t']}, "
+                              f"state {list(state)}", path)
         entries[(entry["t"], state)] = action
     return Policy(n_agents=m.n_agents, entries=entries)
 
@@ -377,7 +381,7 @@ def export_dot(g: ConditionalReturnGraph, bounds: bool = False) -> str:
     action-tree internals, triangles for influence-tree roots; arcs carry
     action ids, wildcards, state pairs, no-influence marks and leaf rewards.
     With ``bounds``, each state label adds the node's ``[lower, upper]``
-    return bound (see ``crg.annotate_bounds``).
+    return bound (see ``crg.build_crg``).
     """
     m = g.instance
     lines = [f"digraph crg_agent{g.owner} {{", "  rankdir=LR;"]

@@ -344,7 +344,27 @@ def validate_instance(m: TiMmdpInstance) -> list[Violation]:
                                  "states disagree on the feature set"))
 
     if not out:
+        out.extend(_unmatchable_entries(m))
         out.extend(_reachability_violations(m))
+    return out
+
+
+def _unmatchable_entries(m: TiMmdpInstance) -> list[Violation]:
+    """One violation per table entry that no joint transition of its scope
+    can take: an action outside its agent's ids, or a state component that
+    none of its agent's states reads as (``TiMmdpInstance.projection``)."""
+    out = []
+    for k, rf in enumerate(m.rewards):
+        reads = [(j, range(len(m.locals[j].actions)),
+                  set(m.projection(j, rf.features_read(j)))) for j in rf.scope]
+        for key in rf.table:
+            for (j, acts, seen), s, a, dst in zip(reads, *key):
+                if a not in acts or s not in seen or dst not in seen:
+                    out.append(Violation(
+                        "reward-key", f"reward {k} (scope {rf.scope})",
+                        f"entry {key} can never match: agent {j} has no "
+                        "such action, state id or feature values"))
+                    break
     return out
 
 

@@ -10,9 +10,11 @@ from timmdp import cli
 from timmdp.cli import run_cli
 from timmdp.crg import build_crgs
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
-from timmdp.formats import write_instance
+from timmdp.formats import read_instance, write_instance
 from timmdp.model import reachable_local_states
 from timmdp.search import SearchConfig, core_solve
+
+from test_model import UNMATCHABLE_ENTRIES
 
 
 def _write_example(tmp_path):
@@ -98,6 +100,22 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 3
         assert f"(at {where})" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k, edit", UNMATCHABLE_ENTRIES)
+    def test_unmatchable_reward_entry_exits_3_naming_it(self, tmp_path,
+                                                        capsys, k, edit):
+        doc = json.loads(write_instance(example_two_agent()))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(["solve", "--algorithm", "core",
+                        "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        key = next(iter(read_instance(path.read_text()).rewards[k].table))
+        assert f"reward-key at reward {k} " in captured.err
+        assert f"entry {key} can never match" in captured.err
         assert captured.out == ""
 
     def test_stats_file_written(self, tmp_path, capsys):
@@ -311,6 +329,8 @@ class TestEvaluate:
          lambda doc: doc["entries"][0].update(action=[0]) or doc),
         ("agent 0 has no action 9 in state 0 (at $.entries[0].action[0])",
          lambda doc: doc["entries"][0].update(action=[9, 9]) or doc),
+        ("a second entry for stage 0, state [0, 0] (at $.entries[1])",
+         lambda doc: doc["entries"].insert(1, doc["entries"][0]) or doc),
     ])
     def test_malformed_policy_exits_3_with_a_message(self, tmp_path, capsys,
                                                      message, edit):

@@ -30,6 +30,7 @@ from util import (
     bf_dependent_actions,
     bf_influence_set,
     bf_interaction_alive,
+    bf_local_choice,
     fresh_classes,
     random_instance,
     reference_live,
@@ -607,6 +608,32 @@ class TestLocalCri:
                         bf_interaction_alive(m, k, i, s, t)
                         for k in interactions if i in m.rewards[k].scope)
                     assert node.locally_cri == want, (seed, i, t, s)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=bound_draws())
+    def test_kept_actions_and_representation_match_brute_force(self, m):
+        """An independent node keeps the action a local-only backward
+        induction picks (ties to the lowest id), any other node keeps every
+        available action, and exactly the states that kept actions reach
+        from the initial one are represented; on plain, single-agent,
+        all-negative, nonzero-default and layered draws of horizon 1 to 3."""
+        for i, g in build_crgs(m).items():
+            local = m.locals[i]
+            choice = bf_local_choice(m, i)
+            for (t, s), node in g.nodes.items():
+                avail = tuple(a for a in range(len(local.actions))
+                              if t < m.horizon and local.outcomes(s, a))
+                want = ((choice[(t, s)],) if node.locally_cri and avail
+                        else avail)
+                assert node.kept_actions == want, (i, t, s)
+            represented, frontier = set(), {m.initial[i]}
+            for t in range(m.horizon + 1):
+                represented |= {(t, s) for s in frontier}
+                frontier = {dst for s in frontier
+                            for a in g.node(t, s).kept_actions
+                            for dst, _ in local.outcomes(s, a)}
+            assert {key for key, node in g.nodes.items()
+                    if node.represented} == represented, i
 
 
     @settings(deadline=None)

@@ -9,10 +9,11 @@ labels, and per leaf arc its labels, target state, components, reward and
 nonzero interactions. Trees share their per-agent class records, and
 ``crg.tree_labels`` reads the labels off them in a per-tree layout. The
 bounds digest hashes every node's upper and lower bound, which
-``crg.annotate_bounds`` derives from that structure. Containers are sorted
-by ``repr`` so neither digest depends on insertion order. Any change to how
-graphs are built must reproduce the structure digests bit for bit; a change
-to the bounds alone moves only the bounds digests.
+``crg.build_crg`` derives from that structure in the same backward sweep
+that decides each node. Containers are sorted by ``repr`` so neither digest
+depends on insertion order. Any change to how graphs are built must
+reproduce the structure digests bit for bit; a change to the bounds alone
+moves only the bounds digests.
 """
 
 import hashlib

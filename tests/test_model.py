@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from timmdp.model import (
     validate_instance,
 )
 from timmdp.domains import compile_mpp, example_two_agent, gen_pyra
-from timmdp.formats import write_instance
+from timmdp.formats import document_to_instance, write_instance
 
 from util import (
     ExecutionSequence,
@@ -84,6 +85,41 @@ class TestValidate:
                              m.locals[0].transitions), m.locals[1]),
             rewards=m.rewards, horizon=m.horizon, initial=m.initial)
         assert any(v.kind == "unreachable-state" for v in validate_instance(m))
+
+
+# Edits to the worked example's document that leave one reward entry unable
+# to match any joint transition, with the reward they break; the example
+# reads reward 0 by agent 0's state ids and reward 2 by agent 0's feature f1
+# (values "unset", "true" and "false").
+UNMATCHABLE_ENTRIES = [
+    pytest.param(0, lambda doc: doc["rewards"][0]["entries"][0].update(
+        states=[99]), id="state id out of range"),
+    pytest.param(0, lambda doc: doc["rewards"][0]["entries"][0].update(
+        states=[{"features": [0]}]), id="features for a state-id reader"),
+    pytest.param(2, lambda doc: doc["rewards"][2]["entries"][0][
+        "states"].__setitem__(0, 1), id="state id for a feature reader"),
+    pytest.param(2, lambda doc: doc["rewards"][2]["entries"][0][
+        "next_states"][0].update(features=["true", "true"]),
+        id="feature tuple of the wrong length"),
+    pytest.param(0, lambda doc: doc["rewards"][0]["entries"][0].update(
+        actions=[3]), id="action out of range"),
+    pytest.param(2, lambda doc: doc["rewards"][2]["entries"][0][
+        "next_states"][0].update(features=["maybe"]),
+        id="feature values no state has"),
+]
+
+
+class TestRewardKeys:
+    @pytest.mark.parametrize("k, edit", UNMATCHABLE_ENTRIES)
+    def test_unmatchable_entry_is_one_violation_naming_it(self, k, edit):
+        doc = json.loads(write_instance(example_two_agent()))
+        edit(doc)
+        m = document_to_instance(doc)
+        violations = validate_instance(m)
+        assert [v.kind for v in violations] == ["reward-key"], violations
+        key = next(iter(m.rewards[k].table))
+        assert f"reward {k} " in violations[0].where
+        assert f"entry {key}" in violations[0].message
 
 
 class TestJointTransitionProbability:

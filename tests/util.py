@@ -523,6 +523,40 @@ def bf_joint_future_fires(m: TiMmdpInstance, rf_index: int, t: int,
     return False
 
 
+def bf_local_choice(m: TiMmdpInstance, agent: int,
+                    ) -> dict[tuple[int, int], int]:
+    """Per (t, s) before the horizon where the agent has an action, its
+    best action under its own local functions alone, by plain recursion
+    over every state; ties go to the lowest action id."""
+    local = m.locals[agent]
+    own = [rf for rf in m.rewards if rf.scope == (agent,)]
+    values: dict[tuple[int, int], float] = {}
+
+    def q(t: int, s: int, a: int) -> float:
+        return math.fsum(
+            p * (math.fsum(reward_value_local(m, rf, [s], [a], [dst])
+                           for rf in own) + value(t + 1, dst))
+            for dst, p in local.outcomes(s, a))
+
+    def value(t: int, s: int) -> float:
+        if t == m.horizon:
+            return 0.0
+        if (t, s) not in values:
+            values[(t, s)] = max((q(t, s, a) for a in range(len(local.actions))
+                                  if local.outcomes(s, a)), default=0.0)
+        return values[(t, s)]
+
+    choice = {}
+    for t in range(m.horizon):
+        for s in range(len(local.states)):
+            acts = [a for a in range(len(local.actions))
+                    if local.outcomes(s, a)]
+            if acts:
+                qs = [q(t, s, a) for a in acts]
+                choice[(t, s)] = acts[qs.index(max(qs))]
+    return choice
+
+
 def all_joint_transitions(m: TiMmdpInstance):
     """Every (t, s, a, s2) with positive probability, stage-reachable."""
     frontier = {tuple(m.initial)}
