@@ -26,7 +26,7 @@ resolving an arc during search is one class lookup per tree level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
@@ -187,13 +187,6 @@ class InstanceIndex:
         for proj, by, j in zip(projs, by_owner, rf.scope):
             self._entries[(rf_index, j)] = (proj, by)
         return self._entries[(rf_index, owner)]
-
-    def interaction_dead(self, agent: int, state: int, stage: int,
-                         rf_index: int) -> bool:
-        """True when, from this local state onward, the interaction function
-        can never yield a nonzero value no matter what any agent does; see
-        ``alive``."""
-        return state not in self.alive(rf_index)[agent][stage]
 
     def alive(self, rf_index: int) -> dict[int, list[set[int]]]:
         """Per scope agent and stage, the states from which the interaction
@@ -376,10 +369,20 @@ class TransitionTree:
 @dataclass
 class CrgNode:
     kept_actions: tuple[int, ...]
-    locally_cri: bool
+    # the interaction functions reading the owner that can still fire from
+    # this node (``InstanceIndex.alive``); none makes it locally CRI
+    live: frozenset[int]
     represented: bool
     upper: float = 0.0
     lower: float = 0.0
+    # kept action -> (expected next upper, expected next lower, outcomes
+    # grouped by their next node's ``live``, as (live, probability,
+    # outcomes) with a lone class at exactly 1.0); represented nodes only
+    steps: dict[int, tuple] = field(default_factory=dict)
+
+    @property
+    def locally_cri(self) -> bool:
+        return not self.live
 
 
 @dataclass
@@ -575,7 +578,8 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     takes the owner's best return under its local functions only (ties to
     the lowest action id). A state from which no future interaction
     involving the owner can fire is flagged conditionally reward
-    independent and keeps only that locally optimal action, so the
+    independent (its ``live`` set, the functions ``InstanceIndex.alive``
+    holds there, is empty) and keeps only that locally optimal action, so the
     represented graph and its bounds leave the other actions out. The
     node's upper bound is the best, over kept actions, of the expected
     return over the owner's own outcomes, each outcome taking its tree's
@@ -585,7 +589,9 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     stays admissible. The lower bound is the worst return along any kept
     action, outcome and arc. Layer-h nodes carry zero. A forward sweep from
     the initial state then marks the nodes that kept actions reach as
-    represented.
+    represented and records, per kept action, the expected bounds of the
+    next nodes and the outcomes grouped by the next node's ``live`` set:
+    what the search reads off each node it visits.
     """
     assigned_everywhere = {k for fns in partition.assignment.values() for k in fns}
     for k, rf in enumerate(m.rewards):
@@ -614,7 +620,7 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
 
     local, reach, horizon = m.locals[i], m.reachable(i), m.horizon
     builder = _TreeBuilder(index, i, fns, others, projections)
-    alive = [index.alive(k)[i] for k in index.touching[i]]
+    alive = [(k, index.alive(k)[i]) for k in index.touching[i]]
 
     nodes: dict[tuple[int, int], CrgNode] = {}
     trees: dict[LocalTransition, TransitionTree] = {}
@@ -641,8 +647,8 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
                               for dst, p, r, _ in step)
                 if best is None or q > best:
                     best, best_a = q, a
-            cri = not any(s in sets[t] for sets in alive)
-            kept = (best_a,) if cri and avail else avail
+            live = frozenset(k for k, sets in alive if s in sets[t])
+            kept = (best_a,) if not live and avail else avail
             ups, downs = [], []
             for a in kept:
                 up = []
@@ -652,7 +658,7 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
                     downs.append(tree.worst + child.lower)
                 ups.append(math.fsum(up))
             node = nodes[(t, s)] = CrgNode(
-                kept_actions=kept, locally_cri=cri, represented=False,
+                kept_actions=kept, live=live, represented=False,
                 upper=max(ups, default=0.0), lower=min(downs, default=0.0))
             here[s] = (best if best is not None else 0.0, node)
         below = here
@@ -660,11 +666,25 @@ def build_crg(m: TiMmdpInstance, partition: RewardPartition, i: int,
     # the states that kept actions reach from the initial one
     frontier = {m.initial[i]}
     for t in range(horizon + 1):
+        reached = set()
         for s in frontier:
-            nodes[(t, s)].represented = True
-        frontier = {dst for s in frontier
-                    for a in nodes[(t, s)].kept_actions
-                    for dst, _ in local.outcomes(s, a)}
+            node = nodes[(t, s)]
+            node.represented = True
+            for a in node.kept_actions:
+                outs = local.outcomes(s, a)
+                children = [(p, nodes[(t + 1, dst)]) for dst, p in outs]
+                grouped: dict[frozenset, list] = {}
+                for (dst, p), (_, child) in zip(outs, children):
+                    grouped.setdefault(child.live, []).append((dst, p))
+                    reached.add(dst)
+                node.steps[a] = (
+                    math.fsum(p * c.upper for p, c in children),
+                    math.fsum(p * c.lower for p, c in children),
+                    [(live, 1.0, outs) for live in grouped]
+                    if len(grouped) == 1 else
+                    [(live, math.fsum(p for _, p in cls), cls)
+                     for live, cls in grouped.items()])
+        frontier = reached
 
     return ConditionalReturnGraph(
         owner=i, horizon=horizon, functions=fns, scope=tuple(scope),

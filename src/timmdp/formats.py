@@ -3,8 +3,9 @@
 Instances and policies serialize to a canonical JSON form - sorted keys,
 LF line endings, ASCII-only escapes, numbers with up to 17 significant
 digits - so identical instances produce identical bytes. Reading is strict:
-unknown fields, fields of the wrong JSON kind and version majors above ours
-are rejected with the path of the offending field.
+unknown fields, fields of the wrong JSON kind, version majors above ours and
+rows repeating an earlier row's key are rejected with the path of the
+offending field.
 """
 
 from __future__ import annotations
@@ -225,6 +226,10 @@ def document_to_instance(doc: dict) -> TiMmdpInstance:
                         [int, int], [int, float]):
                     raise FormatError("expected a [state id, probability] "
                                       "pair", f"{tpath}.outcomes[{q}]")
+            if (tr["state"], tr["action"]) in transitions:
+                raise FormatError(f"a second transition for state "
+                                  f"{tr['state']}, action {tr['action']}",
+                                  tpath)
             transitions[(tr["state"], tr["action"])] = tuple(
                 (dst, float(p)) for dst, p in tr["outcomes"])
         locals_.append(LocalMdp(states=tuple(states), actions=tuple(actions),
@@ -237,9 +242,10 @@ def document_to_instance(doc: dict) -> TiMmdpInstance:
                 path, optional=("default", "feature_scope"))
         feature_scope = block.get("feature_scope")
         if feature_scope is not None:
-            if not all(j.isdigit() for j in feature_scope):
-                raise FormatError("agent keys must be ids",
-                                  f"{path}.feature_scope")
+            for j in feature_scope:
+                if not (j.isascii() and j.isdigit() and str(int(j)) == j):
+                    raise FormatError(f"agent key {j!r} is not a canonical id",
+                                      f"{path}.feature_scope")
             feature_scope = {
                 int(j): _items(f, STRING, f"{path}.feature_scope.{j}")
                 for j, f in feature_scope.items()}
@@ -252,10 +258,14 @@ def document_to_instance(doc: dict) -> TiMmdpInstance:
                    _items(entry["actions"], INTEGER, f"{epath}.actions"),
                    _parts(entry["next_states"], f"{epath}.next_states"))
             try:
-                table[key] = entry["value"]
+                repeated = key in table
             except TypeError:  # unhashable: a feature value is no scalar
                 raise FormatError("expected scalar feature values",
                                   epath) from None
+            if repeated:
+                raise FormatError("a second entry for the same states, "
+                                  "actions and next states", epath)
+            table[key] = entry["value"]
         rewards.append(RewardFunction(
             scope=_items(block["scope"], INTEGER, f"{path}.scope"),
             table=table, default=block.get("default", 0.0),
@@ -298,10 +308,10 @@ def write_policy(policy: Policy) -> str:
 
 
 def read_policy(text: str, m: TiMmdpInstance) -> Policy:
-    """Parse a policy document for instance ``m``: one state id and one
-    action id per agent in every entry, each action available in its
-    agent's state, and at most one entry per (stage, state). Errors carry
-    the field path."""
+    """Parse a policy document for instance ``m``: a stage in
+    ``[0, horizon)``, one state id and one action id per agent in every
+    entry, each action available in its agent's state, and at most one
+    entry per (stage, state). Errors carry the field path."""
     doc = _fields(_parse(text), {"schema_version": ANY, "n_agents": INTEGER,
                                  "entries": LIST}, "$",
                   optional=("schema_version",))
@@ -311,6 +321,9 @@ def read_policy(text: str, m: TiMmdpInstance) -> Policy:
     for k, entry in enumerate(doc["entries"]):
         path = f"$.entries[{k}]"
         _fields(entry, {"t": INTEGER, "state": LIST, "action": LIST}, path)
+        if not 0 <= entry["t"] < m.horizon:
+            raise FormatError(f"stage {entry['t']} is outside "
+                              f"[0, {m.horizon})", f"{path}.t")
         state = _items(entry["state"], INTEGER, f"{path}.state")
         action = _items(entry["action"], INTEGER, f"{path}.action")
         if not len(state) == len(action) == m.n_agents:

@@ -2,21 +2,22 @@
 
 The solver walks the joint search space depth first, one table entry per
 (stage, component, component states). A component is a set of agents still
-linked by an interaction function that can fire. Each agent's liveness
-signature - the functions it leaves able to link from its state - is compiled
-once per (stage, agent, state); a function links its scope exactly when it is
-in every scope member's signature. The root, every successor and the policy
-extraction take their parts from one partition per (component, signature
-vector). Agents in different components are solved separately and their
-values added, so each entry is solved once and its value and decision are
-reused wherever it recurs.
+linked by an interaction function that can fire. Each agent's graph node
+carries its liveness signature, ``CrgNode.live``: the functions reading the
+agent that can still fire from its state. A function links its scope exactly
+when it is in every scope member's signature. The root, every successor and
+the policy extraction take their parts from one partition per (component,
+signature vector). Agents in different components are solved separately and
+their values added, so each entry is solved once and its value and decision
+are reused wherever it recurs.
 
 Within a component every kept joint action gets return bounds from the
 conditional return graphs. A member's share of a bound is its expected
 assigned reward, taken over the outcomes of the agents its graph reads
 inside the component only, plus the expected bound of its own next graph
-node; the reward is cached per (member, scope states, scope actions) and
-shared by every action and component state that agree on them. Actions are
+node, which the node records per kept action (``CrgNode.steps``); the
+reward is cached per (member, scope states, scope actions) and shared by
+every action and component state that agree on them. Actions are
 visited in order of falling upper bound and skipped once their upper bound
 drops below the best lower bound seen so far. With pruning disabled every
 action is evaluated, which isolates what the graph structure alone buys.
@@ -24,11 +25,11 @@ action is evaluated, which isolates what the graph structure alone buys.
 An evaluated action is worth its members' expected rewards plus the expected
 value of the next stage. Whether a function still links its scope there
 depends on each scope member's own next state, so each member's outcomes
-fall into classes by liveness signature. One vector of classes fixes the
-next-stage partition, and under it the expected sum of component values
-splits into one sum per part over that part's own outcomes. Each part's
-states are looked up in the table or solved into it; the time budget is
-checked before each fresh solve.
+fall into classes by liveness signature, also recorded in ``CrgNode.steps``.
+One vector of classes fixes the next-stage partition, and under it the
+expected sum of component values splits into one sum per part over that
+part's own outcomes. Each part's states are looked up in the table or solved
+into it; the time budget is checked before each fresh solve.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class _Component:
 
     A link is an interaction function of a member whose scope lies inside
     the component, with its scope positions; it links them at a stage
-    exactly when it is in every scope member's signature there (see
-    ``_Search._signature``). Partitions are cached per signature vector.
+    exactly when it is in every scope member's signature there, its graph
+    node's ``live`` set. Partitions are cached per signature vector.
     """
 
     def __init__(self, crgs: Mapping[int, ConditionalReturnGraph],
@@ -188,10 +189,6 @@ class _Search:
         self.compiled: dict[tuple[int, ...], _Component] = {}
         # (agent, scope, scope states) -> {scope actions: expected reward}
         self.rewards: dict = {}
-        # (t, agent, state) -> {action: expected child (upper, lower)}
-        self.children: dict = {}
-        self.signatures: dict = {}   # (t, agent, state) -> signature
-        self.classes: dict = {}      # (t, agent, state, action) -> classes
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
 
@@ -259,7 +256,7 @@ class _Search:
         """The parts, as (agents, positions), that the members' signatures
         at these states split the agents into."""
         return self._component(agents).partition(tuple(
-            self._signature(t, i, s) for i, s in zip(agents, states)))
+            self.crgs[i].nodes[(t, s)].live for i, s in zip(agents, states)))
 
     def _bounds(self, t: int, comp: _Component, states: tuple[int, ...],
                 actions: Sequence[tuple[int, ...]]) -> dict:
@@ -272,24 +269,21 @@ class _Search:
             (q, member, member.pick,
              self.rewards.setdefault(
                  (member.agent, member.scope, member.pick(states)), {}),
-             self.children.setdefault((t, member.agent, states[q]), {}))
+             member.graph.nodes[(t, states[q])].steps)
             for q, member in enumerate(comp.members)]
         bounds = {}
         for a in actions:
             rewards, ups, dns = [], [], []
-            for q, member, pick, expected, children in per_member:
+            for q, member, pick, expected, steps in per_member:
                 sub = pick(a)
                 r = expected.get(sub)
                 if r is None:
                     r = expected[sub] = self._expected_reward(
                         member, states, a)
-                child = children.get(a[q])
-                if child is None:
-                    child = children[a[q]] = self._child_bounds(
-                        t, member, states[q], a[q])
+                up, dn, _ = steps[a[q]]
                 rewards.append(r)
-                ups += (r, child[0])
-                dns += (r, child[1])
+                ups += (r, up)
+                dns += (r, dn)
             bounds[a] = (math.fsum(ups), math.fsum(dns), rewards)
         return bounds
 
@@ -312,47 +306,6 @@ class _Search:
                 resolve_arc(g, context[i], context), keep))
         return math.fsum(terms)
 
-    def _child_bounds(self, t: int, member: _Member, state: int,
-                      action: int) -> tuple[float, float]:
-        g = member.graph
-        children = [(p, g.nodes[(t + 1, dst)])
-                    for dst, p in g.outcomes(state, action)]
-        return (math.fsum(p * c.upper for p, c in children),
-                math.fsum(p * c.lower for p, c in children))
-
-    def _signature(self, t: int, i: int, state: int) -> frozenset:
-        """The interaction functions reading agent i that are not dead from
-        its state at stage t (``InstanceIndex.interaction_dead``)."""
-        key = (t, i, state)
-        sig = self.signatures.get(key)
-        if sig is None:
-            index = self.crgs[i].index
-            sig = self.signatures[key] = frozenset(
-                k for k in index.touching[i]
-                if not index.interaction_dead(i, state, t, k))
-        return sig
-
-    def _outcome_classes(self, t: int, i: int, state: int,
-                         action: int) -> list:
-        """Agent i's outcomes of ``action`` grouped by their signature at
-        stage t, as (signature, class probability, outcomes); a lone class
-        has probability 1.0 exactly."""
-        key = (t, i, state, action)
-        classes = self.classes.get(key)
-        if classes is None:
-            outs = self.m.locals[i].outcomes(state, action)
-            grouped: dict[frozenset, list] = {}
-            for dst, p in outs:
-                grouped.setdefault(self._signature(t, i, dst), []).append(
-                    (dst, p))
-            if len(grouped) == 1:
-                classes = [(sig, 1.0, outs) for sig in grouped]
-            else:
-                classes = [(sig, math.fsum(p for _, p in cls), cls)
-                           for sig, cls in grouped.items()]
-            self.classes[key] = classes
-        return classes
-
     def _evaluate(self, t: int, comp: _Component, states: tuple[int, ...],
                   action: tuple[int, ...], rewards: list[float]) -> float:
         """fsum of the members' expected rewards and the expected value of
@@ -371,8 +324,9 @@ class _Search:
             terms.append(self._part_value(nt, comp.agents, [
                 comp.members[0].graph.outcomes(states[0], action[0])]))
             return math.fsum(terms)
-        per_member = [self._outcome_classes(nt, i, s, a)
-                      for i, s, a in zip(comp.agents, states, action)]
+        # each member's outcomes grouped by their next node's signature
+        per_member = [member.graph.nodes[(t, s)].steps[a][2]
+                      for member, s, a in zip(comp.members, states, action)]
         # with one class per member there is one vector, every weight is 1.0
         # and no part sum recurs
         single = all(len(classes) == 1 for classes in per_member)

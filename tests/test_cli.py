@@ -118,6 +118,20 @@ class TestSolve:
         assert f"entry {key} can never match" in captured.err
         assert captured.out == ""
 
+    def test_repeated_reward_entry_exits_3_naming_it(self, tmp_path,
+                                                     capsys):
+        doc = json.loads(write_instance(example_two_agent()))
+        entries = doc["rewards"][0]["entries"]
+        entries.append(dict(entries[0], value=100.0))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli(["solve", "--algorithm", "core",
+                        "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "(at $.rewards[0].entries[9])" in captured.err
+        assert captured.out == ""
+
     def test_stats_file_written(self, tmp_path, capsys):
         path = _write_example(tmp_path)
         stats = tmp_path / "stats.csv"
@@ -331,6 +345,10 @@ class TestEvaluate:
          lambda doc: doc["entries"][0].update(action=[9, 9]) or doc),
         ("a second entry for stage 0, state [0, 0] (at $.entries[1])",
          lambda doc: doc["entries"].insert(1, doc["entries"][0]) or doc),
+        ("stage 99 is outside [0, 2) (at $.entries[0].t)",
+         lambda doc: doc["entries"][0].update(t=99) or doc),
+        ("stage -1 is outside [0, 2) (at $.entries[1].t)",
+         lambda doc: doc["entries"][1].update(t=-1) or doc),
     ])
     def test_malformed_policy_exits_3_with_a_message(self, tmp_path, capsys,
                                                      message, edit):

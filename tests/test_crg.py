@@ -635,55 +635,99 @@ class TestLocalCri:
             assert {key for key, node in g.nodes.items()
                     if node.represented} == represented, i
 
+    @settings(deadline=None, max_examples=60)
+    @given(m=bound_draws())
+    def test_steps_match_next_nodes_and_exhaustive_liveness(self, m):
+        """A represented node below layer h records, per kept action, the
+        fsum of its outcomes' probability-weighted next upper and lower
+        bounds, and its outcomes grouped by the functions reading the owner
+        that the brute-force sweep finds alive at their next states, a lone
+        class weighted exactly 1.0; every other node records nothing."""
+        for i, g in build_crgs(m).items():
+            touching = [k for k, rf in enumerate(m.rewards)
+                        if rf.is_interaction and i in rf.scope]
+            for (t, s), node in g.nodes.items():
+                if not node.represented or t == m.horizon:
+                    assert node.steps == {}, (i, t, s)
+                    continue
+                assert tuple(node.steps) == node.kept_actions, (i, t, s)
+                for a in node.kept_actions:
+                    outs = g.outcomes(s, a)
+                    grouped = {}
+                    for dst, p in outs:
+                        grouped.setdefault(frozenset(
+                            k for k in touching
+                            if bf_interaction_alive(m, k, i, dst, t + 1)),
+                            []).append((dst, p))
+                    classes = [
+                        (live, 1.0 if len(grouped) == 1 else
+                         math.fsum(p for _, p in cls), cls)
+                        for live, cls in grouped.items()]
+                    up, down, got = node.steps[a]
+                    assert up == math.fsum(
+                        p * g.node(t + 1, dst).upper for dst, p in outs)
+                    assert down == math.fsum(
+                        p * g.node(t + 1, dst).lower for dst, p in outs)
+                    assert [(live, w, list(cls)) for live, w, cls in got] \
+                        == classes, (i, t, s, a)
+
 
     @settings(deadline=None)
     @given(m=liveness_draws())
-    def test_interaction_dead_matches_exhaustive_sweep_per_function(self, m):
+    def test_alive_and_node_live_match_exhaustive_sweep_per_function(self, m):
         """Each function's deadness, not only the conjunction the flag
         takes, agrees with the brute-force sweep at every reachable state,
-        on plain, feature-scoped, layered, defaulted and zero-entry draws."""
+        and every node's ``live`` holds exactly the functions reading its
+        owner that the sweep finds alive there, on plain, feature-scoped,
+        layered, defaulted and zero-entry draws."""
         index = InstanceIndex(m)
+        swept = {}  # (agent, stage, state) -> the functions the sweep finds
         for k, rf in enumerate(m.rewards):
             if not rf.is_interaction:
                 continue
             for i in rf.scope:
                 for t, states in enumerate(m.reachable(i)):
                     for s in states:
-                        assert index.interaction_dead(i, s, t, k) == (
-                            not bf_interaction_alive(m, k, i, s, t)), \
-                            (k, i, t, s)
+                        alive = bf_interaction_alive(m, k, i, s, t)
+                        if alive:
+                            swept.setdefault((i, t, s), set()).add(k)
+                        assert (s not in index.alive(k)[i][t]) == (
+                            not alive), (k, i, t, s)
+        for i, g in build_crgs(m).items():
+            for (t, s), node in g.nodes.items():
+                assert node.live == swept.get((i, t, s), set()), (i, t, s)
 
 
     @settings(deadline=None)
     @given(m=liveness_draws())
     def test_owned_and_not_dead_is_in_the_reference_live_set(self, m):
-        """At every node, an owned interaction that ``interaction_dead``
-        leaves alive from the node's state has a nonzero arc below it along
-        kept actions: the search may read liveness from deadness alone."""
+        """At every node, an owned interaction that ``InstanceIndex.alive``
+        holds at the node's state has a nonzero arc below it along kept
+        actions: the search may read liveness from ``alive`` alone."""
         for i, g in build_crgs(m).items():
             live = reference_live(g)
             owned = [k for k in g.functions if m.rewards[k].is_interaction]
             for (t, s) in g.nodes:
                 for k in owned:
-                    if not g.index.interaction_dead(i, s, t, k):
+                    if s in g.index.alive(k)[i][t]:
                         assert k in live[(t, s)], (i, t, s, k)
 
 
 class TestInteractionReachable:
-    """A function ``interaction_dead`` calls dead from a scope member's
+    """A function ``InstanceIndex.alive`` leaves out at a scope member's
     state can no longer produce a nonzero value in any joint future."""
 
     def test_false_at_horizon(self):
         """No function is alive at the last layer."""
         index = InstanceIndex(example_two_agent())
         for s in (5, 6, 7, 8, 9):
-            assert index.interaction_dead(1, s, 2, 2)
+            assert s not in index.alive(2)[1][2]
 
     def test_worked_example_after_joint_ba(self):
         index = InstanceIndex(example_two_agent())
         # joint action (b, a): agent 1 lands in state 1 with a used up
-        assert index.interaction_dead(1, 1, 1, 2)
-        assert not index.interaction_dead(1, 2, 1, 2)
+        assert 1 not in index.alive(2)[1][1]
+        assert 2 in index.alive(2)[1][1]
 
     def test_sound_against_exhaustive_future_sweep(self):
         from util import bf_joint_future_fires
@@ -699,7 +743,7 @@ class TestInteractionReachable:
             for t, s in sorted(states):
                 for k, rf in enumerate(m.rewards):
                     if rf.is_interaction and any(
-                            index.interaction_dead(j, s[j], t, k)
+                            s[j] not in index.alive(k)[j][t]
                             for j in rf.scope):
                         dead += 1
                         assert not bf_joint_future_fires(m, k, t, s), \

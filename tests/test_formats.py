@@ -97,6 +97,51 @@ class TestInstanceRoundTrip:
         assert any(v.kind == "probability-sum" for v in validate_instance(m))
 
 
+class TestRepeatedRows:
+    """A row repeating an earlier row's key is rejected at its path rather
+    than silently replacing it."""
+
+    @staticmethod
+    def _read(edit):
+        import json
+
+        from timmdp.formats import document_to_instance
+
+        doc = json.loads(write_instance(example_two_agent()))
+        edit(doc)
+        return document_to_instance(doc)
+
+    def test_second_reward_entry_with_the_same_key(self):
+        def edit(doc):
+            entries = doc["rewards"][0]["entries"]
+            entries.append(dict(entries[0], value=100.0))
+
+        with pytest.raises(FormatError,
+                           match=re.escape("(at $.rewards[0].entries[9])")):
+            self._read(edit)
+
+    def test_second_transition_row_for_a_state_and_action(self):
+        def edit(doc):
+            rows = doc["agents"][1]["transitions"]
+            assert (rows[2]["state"], rows[2]["action"]) == (0, 2)
+            rows.append(dict(rows[2], outcomes=[[3, 0.25], [4, 0.75]]))
+
+        with pytest.raises(FormatError, match=re.escape(
+                "a second transition for state 0, action 2 "
+                "(at $.agents[1].transitions[11])")):
+            self._read(edit)
+
+    @pytest.mark.parametrize("key", ["00", "+1", " 1", "\u00b2"])
+    def test_feature_scope_key_that_is_no_canonical_id(self, key):
+        def edit(doc):
+            doc["rewards"][2]["feature_scope"][key] = []
+
+        with pytest.raises(FormatError, match=re.escape(
+                f"agent key {key!r} is not a canonical id "
+                "(at $.rewards[2].feature_scope)")):
+            self._read(edit)
+
+
 class TestResultCsv:
     def test_empty_list_gives_header_only(self):
         out = write_results([])

@@ -276,7 +276,7 @@ class TestComponents:
 
     def test_owned_function_with_a_default_but_never_nonzero_is_dead(self):
         """A zero entry for every joint transition of its scope leaves a
-        function's nonzero default unreachable, so ``interaction_dead``
+        function's nonzero default unreachable, so ``InstanceIndex.alive``
         calls the function dead from the start and it links nothing."""
         from timmdp.baselines import dp_solve
         from timmdp.crg import InstanceIndex
@@ -289,7 +289,7 @@ class TestComponents:
         rf.table = {tuple(zip(*trs)): 0.0 for trs in product(
             *(available_transitions(m, j) for j in rf.scope))}
         assert rf.scope == (0, 1)
-        assert InstanceIndex(m).interaction_dead(0, m.initial[0], 0, k)
+        assert m.initial[0] not in InstanceIndex(m).alive(k)[0][0]
         crgs = build_crgs(m)
         dp = dp_solve(m).value
         for pruning in (True, False):

@@ -823,7 +823,7 @@ def reference_live(g: ConditionalReturnGraph,
     """Per node (t, s), the graph's own interaction functions with a nonzero
     arc somewhere below it along kept actions, by one backward union over
     the arcs; layer-h nodes have none. Stage-free, and so independent of
-    ``InstanceIndex.interaction_dead``. Compiled once per graph."""
+    ``InstanceIndex.alive``. Compiled once per graph."""
     live = _REFERENCE_LIVE.get(id(g))
     if live is None:
         live = _REFERENCE_LIVE[id(g)] = {}
@@ -857,7 +857,7 @@ def components(crgs: Mapping[int, ConditionalReturnGraph], t: int,
         for k in reference_live(g)[(t, states[i])]:
             scope = g.instance.rewards[k].scope
             if set(scope) <= agent_set and not any(
-                    g.index.interaction_dead(j, states[j], t, k)
+                    states[j] not in g.index.alive(k)[j][t]
                     for j in scope):
                 links.append(scope)
     return _groups(agents, links)
