@@ -3,14 +3,22 @@
 ``dp_solve`` maximizes the finite-horizon Bellman recursion by backward
 induction over the joint states actually reachable from the start, which is
 the plain oracle every other algorithm here must match. Under transition
-independence a reward function's expected step reward depends only on the
-local states and actions of its own scope, so each Q-value is the sum of
-those expected rewards, each computed once per (function, scope states,
-scope actions) over the scope's own local outcomes, plus the
-probability-weighted values of the joint successors. ``evaluate_policy``
-prices a fixed policy by enumerating its execution sequences depth first
-and summing probability-weighted returns with the per-transition
-``total_reward``, so it does not rely on that decomposition.
+independence the joint states reachable at stage t are exactly the product
+of each agent's local states reachable at t, and a reward function's
+expected step reward depends only on the local states and actions of its
+own scope. So the layers are formed as products, without walking a joint
+action, and each Q-value is the sum of those expected rewards plus the
+probability-weighted values of the joint successors. The backward pass
+compiles one option record per (agent, local state): its available actions
+and, per action, its sorted outcomes and the expected values of the agent's
+single-agent functions. A joint state's joint actions are walked in sorted
+order as products of its agents' records; each interaction function's expected reward is computed
+once per (scope states, scope actions) over the scope's own local outcomes,
+and the successor values once per stage and combination of the agents'
+outcomes. ``evaluate_policy`` prices a fixed policy by enumerating its
+execution sequences depth first and summing probability-weighted returns
+with the per-transition ``total_reward``, so it does not rely on that
+decomposition.
 
 Both price rewards through the instance's one evaluator,
 ``TiMmdpInstance.reward``, which the graph build shares, and stay
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter, mul
 
 from .model import (
@@ -55,10 +63,12 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
 
     Only joint states reachable from the initial state are expanded; every
     expanded (state, action) pair is counted in the stats. Each Q-value is
-    ``fsum(E[r_f | scope states, scope actions]) + fsum(p * V(t+1, s'))``.
+    ``fsum(E[r_f | scope states, scope actions]) + fsum(p * V(t+1, s'))``,
+    and of equal Q-values the first joint action in sorted order wins.
     Reaching more than ``max_states`` joint states raises
     StateSpaceBudgetExceeded rather than thrashing; the time budget is
-    checked at every joint state of both passes.
+    checked once per layer and then at every joint state of the backward
+    pass.
     """
     deadline = (time.monotonic() + time_budget
                 if time_budget is not None else None)
@@ -66,6 +76,17 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
     def check_deadline() -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded
+
+    # per stage, each agent's reachable local states in id order
+    stages: list[list[list[int]]] = []
+    total_states = 0
+    for t in range(m.horizon + 1):
+        check_deadline()
+        stages.append([sorted(m.reachable(i)[t]) for i in m.agents])
+        total_states += math.prod(map(len, stages[t]))
+        if total_states > max_states:
+            raise StateSpaceBudgetExceeded(
+                f"more than {max_states} reachable joint states")
 
     # (agent, state, action) -> (next states, probabilities), sorted
     local_outcomes: dict[tuple[int, int, int], tuple[tuple, tuple]] = {}
@@ -79,53 +100,92 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
                                           tuple(q for _, q in ordered))
         return outs
 
-    layers: list[set[JointState]] = [{tuple(m.initial)}]
-    total_states = 1
-    for t in range(m.horizon):
-        nxt: set[JointState] = set()
-        for s in layers[t]:
-            check_deadline()
-            for a in m.joint_actions(s):
-                nxt.update(product(*(outcomes(i, s[i], a[i])[0]
-                                     for i in m.agents)))
-                if total_states + len(nxt) > max_states:
-                    raise StateSpaceBudgetExceeded(
-                        f"more than {max_states} reachable joint states")
-        total_states += len(nxt)
-        layers.append(nxt)
+    singles: list[list[int]] = [[] for _ in m.agents]
+    interactions = []  # (function, its scope's getter)
+    for k, rf in enumerate(m.rewards):
+        if rf.is_interaction:
+            interactions.append((k, itemgetter(*rf.scope)))
+        else:
+            singles[rf.scope[0]].append(k)
 
-    # per function: (scope states, scope actions) -> expected step reward
-    expected: list[dict[tuple, float]] = [{} for _ in m.rewards]
-    scope_of = [itemgetter(*rf.scope) for rf in m.rewards]
+    # the distinct sorted outcomes, (next states, probabilities), of any
+    # agent's actions, and their positions in that list
+    outcome_list: list[tuple[tuple, tuple]] = []
+    outcome_ids: dict[tuple[tuple, tuple], int] = {}
 
-    later = dict.fromkeys(layers[m.horizon], 0.0)  # V(t + 1, .) by state
+    # (agent, state) -> its option record: the available actions in id
+    # order and, per action, the id of its outcomes and the expected values
+    # of the agent's single-agent functions
+    records: dict[tuple[int, int], tuple[tuple, tuple, tuple]] = {}
+
+    def record(i: int, si: int) -> tuple[tuple, tuple, tuple]:
+        rec = records.get((i, si))
+        if rec is None:
+            acts = tuple(sorted(m.locals[i].available(si)))
+            ids = []
+            for ai in acts:
+                outs = outcomes(i, si, ai)
+                x = outcome_ids.get(outs)
+                if x is None:
+                    x = outcome_ids[outs] = len(outcome_list)
+                    outcome_list.append(outs)
+                ids.append(x)
+            rec = records[(i, si)] = (
+                acts, tuple(ids),
+                tuple(tuple(_expected_step_reward(m, k, (si,), (ai,),
+                                                  outcomes)
+                            for k in singles[i]) for ai in acts))
+        return rec
+
+    # per interaction function: scope states -> {scope actions: E[r]}
+    expected: list[dict[tuple, dict[tuple, float]]] = [{} for _ in m.rewards]
+    # per-agent probability tuples -> joint probabilities, agent-major
+    joint_probs: dict[tuple, list[float]] = {}
+
+    later = dict.fromkeys(product(*stages[m.horizon]), 0.0)  # V(t + 1, .)
     values = {(m.horizon, s): 0.0 for s in later}
     entries: dict[tuple[int, JointState], JointAction] = {}
     expanded = 0
     for t in range(m.horizon - 1, -1, -1):
         current: dict[JointState, float] = {}
-        for s in layers[t]:
+        # per-agent outcome ids -> fsum(p * V(t + 1, s')) at this stage
+        continuation: dict[tuple[int, ...], float] = {}
+        options = [[record(i, si) for si in states]
+                   for i, states in enumerate(stages[t])]
+        for s, recs in zip(product(*stages[t]), product(*options)):
             check_deadline()
-            scope_states = [get(s) for get in scope_of]
+            priced = []
+            for k, get in interactions:
+                scope_states = get(s)
+                table = expected[k].get(scope_states)
+                if table is None:
+                    table = expected[k][scope_states] = {
+                        scope_actions: _expected_step_reward(
+                            m, k, scope_states, scope_actions, outcomes)
+                        for scope_actions in product(
+                            *(rec[0] for rec in get(recs)))}
+                priced.append((get, table))
             best, best_a = None, None
-            for a in sorted(m.joint_actions(s)):
+            for a, ids, own in zip(product(*(rec[0] for rec in recs)),
+                                   product(*(rec[1] for rec in recs)),
+                                   product(*(rec[2] for rec in recs))):
                 expanded += 1
-                rewards = []
-                for k, get in enumerate(scope_of):
-                    key = (scope_states[k], get(a))
-                    r = expected[k].get(key)
-                    if r is None:
-                        r = expected[k][key] = _expected_step_reward(
-                            m, k, s, a, outcomes)
-                    rewards.append(r)
-                reward = math.fsum(rewards)
-                nexts, probs = [], [1.0]
-                for i in m.agents:
-                    dsts, qs = outcomes(i, s[i], a[i])
-                    nexts.append(dsts)
-                    probs = [p * q for p in probs for q in qs]
-                q = reward + math.fsum(
-                    map(mul, probs, map(later.__getitem__, product(*nexts))))
+                rewards = list(chain.from_iterable(own))
+                rewards += [table[get(a)] for get, table in priced]
+                future = continuation.get(ids)
+                if future is None:
+                    outs = [outcome_list[x] for x in ids]
+                    qs = tuple(q for _, q in outs)
+                    probs = joint_probs.get(qs)
+                    if probs is None:
+                        probs = [1.0]
+                        for q_i in qs:
+                            probs = [p * q for p in probs for q in q_i]
+                        joint_probs[qs] = probs
+                    future = continuation[ids] = math.fsum(map(
+                        mul, probs, map(later.__getitem__,
+                                        product(*(d for d, _ in outs)))))
+                q = math.fsum(rewards) + future
                 if best is None or q > best:
                     best, best_a = q, a
             current[s] = values[(t, s)] = best if best is not None else 0.0
@@ -134,24 +194,26 @@ def dp_solve(m: TiMmdpInstance, max_states: int = 2_000_000,
         later = current
     policy = Policy(n_agents=m.n_agents, entries=entries)
     value = values[(0, tuple(m.initial))]
-    stats = {"joint_actions_evaluated": expanded,
-             "states": sum(len(layer) for layer in layers)}
+    stats = {"joint_actions_evaluated": expanded, "states": total_states}
     return DpResult(value=value, values=values, policy=policy, stats=stats)
 
 
-def _expected_step_reward(m: TiMmdpInstance, k: int, s: JointState,
-                          a: JointAction, outcomes) -> float:
-    """E[r_k | s, a]: the probability-weighted fsum of function k over the
-    product of its scope agents' own sorted local outcomes."""
+def _expected_step_reward(m: TiMmdpInstance, k: int, scope_states: tuple,
+                          scope_actions: tuple, outcomes) -> float:
+    """E[r_k | scope states, scope actions]: the probability-weighted fsum
+    of function k over the product of its scope agents' own sorted local
+    outcomes."""
     scope = m.rewards[k].scope
-    per_agent = [zip(*outcomes(j, s[j], a[j])) for j in scope]
+    per_agent = [zip(*outcomes(j, sj, aj))
+                 for j, sj, aj in zip(scope, scope_states, scope_actions)]
     terms = []
     for combo in product(*per_agent):
         p = 1.0
         trs = {}
-        for j, (d, q) in zip(scope, combo):
+        for j, sj, aj, (d, q) in zip(scope, scope_states, scope_actions,
+                                     combo):
             p *= q
-            trs[j] = (s[j], a[j], d)
+            trs[j] = (sj, aj, d)
         terms.append(p * m.reward(k, trs))
     return math.fsum(terms)
 

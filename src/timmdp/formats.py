@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .crg import NO_INFLUENCE, WILDCARD, ConditionalReturnGraph
 from .model import (
@@ -39,37 +40,46 @@ class FormatError(Exception):
 # Canonical JSON emission
 
 
+# the types ``_emit`` dispatches on exactly; None, bools and subclasses
+# dispatch on the first of ``_BASES`` they are an instance of
+_EXACT = frozenset((str, int, float, list, tuple, dict))
+_BASES = (bool, int, float, str, list, tuple, dict)
+
+
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
+    kind = type(obj)
+    if kind not in _EXACT:
+        kind = next((base for base in _BASES if isinstance(obj, base)), None)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
         out.append(str(obj))
-    elif isinstance(obj, float):
+    elif kind is float:
         if not math.isfinite(obj):
             raise FormatError(f"cannot serialize non-finite number {obj!r}")
         out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         out.append("[")
         for idx, item in enumerate(obj):
             if idx:
                 out.append(",")
             _emit(item, out)
         out.append("]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
         out.append("{")
         for idx, key in enumerate(sorted(obj)):
             if idx:
                 out.append(",")
             if not isinstance(key, str):
                 raise FormatError(f"object key {key!r} is not a string")
-            _emit(key, out)
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 

@@ -1,11 +1,14 @@
 import ast
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timmdp
+import timmdp.baselines
 from timmdp.baselines import (
     StateSpaceBudgetExceeded,
     dp_solve,
@@ -20,6 +23,7 @@ from timmdp.model import (
     Policy,
     RewardFunction,
     TiMmdpInstance,
+    TimeBudgetExceeded,
 )
 from timmdp.search import core_solve
 
@@ -77,6 +81,28 @@ class TestDpSolve:
         assert dp_solve(m, max_states=states).stats["states"] == states
         with pytest.raises(StateSpaceBudgetExceeded):
             dp_solve(m, max_states=states - 1)
+
+    def test_deadline_is_checked_at_every_backward_joint_state(
+            self, monkeypatch):
+        """On a clock that ticks once per reading, the start takes one tick,
+        each of the h + 1 layers one more and each joint state of the
+        backward pass one more, so a budget of (h + 1) + k stops the solve
+        at the check after the first k backward joint states, and a budget
+        that covers every backward joint state lets it finish."""
+        m = random_instance(1, n_agents=3, horizon=4)
+        full = dp_solve(m)
+        backward = sum(t < m.horizon for t, _ in full.values)
+        for k in (0, 1, 7, backward - 1, backward):
+            ticks = count()
+            monkeypatch.setattr(timmdp.baselines, "time", SimpleNamespace(
+                monotonic=lambda: next(ticks)))
+            budget = (m.horizon + 1) + k
+            if k < backward:
+                with pytest.raises(TimeBudgetExceeded):
+                    dp_solve(m, time_budget=budget)
+                assert next(ticks) == 1 + (m.horizon + 1) + (k + 1), k
+            else:
+                assert dp_solve(m, time_budget=budget).values == full.values
 
     def test_terminal_values_are_zero(self):
         m = random_instance(3)

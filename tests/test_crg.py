@@ -31,6 +31,7 @@ from util import (
     bf_influence_set,
     bf_interaction_alive,
     bf_local_choice,
+    bound_draws,
     fresh_classes,
     random_instance,
     reference_live,
@@ -38,7 +39,6 @@ from util import (
     reference_transition_influence,
     reward_value,
     with_interaction_default,
-    with_negative_rewards,
     worst_path_upper,
 )
 
@@ -99,34 +99,6 @@ def influence_draws(draw):
                         layered=layered,
                         interaction_horizon=(draw(st.integers(1, 3))
                                              if layered else None))
-    if variant == "default":
-        m = with_interaction_default(
-            m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),
-            shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
-    return m
-
-
-@st.composite
-def bound_draws(draw):
-    """Horizons 1 to 3 over plain, single-agent, all-negative,
-    nonzero-default and layered draws of up to three agents."""
-    variant = draw(st.sampled_from(("plain", "single", "negative",
-                                    "default", "layered")))
-    horizon = draw(st.integers(1, 3))
-    n_agents = 1 if variant == "single" else draw(st.sampled_from((2, 3)))
-    layered = variant == "layered"
-    m = random_instance(draw(st.integers(0, 2**32 - 1)), n_agents=n_agents,
-                        horizon=horizon,
-                        max_states=3 if n_agents == 3 else 4,
-                        max_actions=2 if n_agents == 3 else 3,
-                        n_interactions=(0 if n_agents == 1
-                                        else draw(st.integers(1, 2))),
-                        feature_scoped=not layered and draw(st.booleans()),
-                        layered=layered,
-                        interaction_horizon=(draw(st.integers(1, horizon))
-                                             if layered else None))
-    if variant == "negative":
-        m = with_negative_rewards(m)
     if variant == "default":
         m = with_interaction_default(
             m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),

@@ -1,3 +1,4 @@
+import enum
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from timmdp.domains import (
 from timmdp.formats import (
     FormatError,
     ResultRow,
+    canonical_json,
     export_dot,
     read_instance,
     write_instance,
@@ -44,6 +46,36 @@ def _equal_instances(a, b) -> bool:
                 (rb.scope, rb.default, rb.feature_scope, rb.table):
             return False
     return True
+
+
+class _Text(str):
+    pass
+
+
+class _Count(enum.IntEnum):
+    THREE = 3
+
+
+class TestCanonicalJson:
+    def test_exact_types_and_subclasses_emit_the_same_bytes(self):
+        """Exact types take the fast path; None, bools and subclasses of the
+        JSON types emit as their base type, keys sorted and non-ASCII
+        escaped as json.dumps(ensure_ascii=True) escapes it."""
+        doc = {"b": [1, -2.5, (None, True, False)], "a\u00e9": "x\"\n\u2603",
+               _Text("c"): [_Text("k\u00e9"), _Count.THREE, 0.1, {}, []]}
+        assert canonical_json(doc) == (
+            '{"a\\u00e9":"x\\"\\n\\u2603","b":[1,-2.5,[null,true,false]],'
+            '"c":["k\\u00e9",3,0.10000000000000001,{},[]]}\n')
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "non-finite number nan"),
+        ({"a": [float("-inf")]}, "non-finite number -inf"),
+        ({1: 2}, "object key 1 is not a string"),
+        ({"a": {1, 2}}, "cannot serialize set"),
+    ])
+    def test_unserializable_values_are_refused(self, bad, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            canonical_json(bad)
 
 
 class TestInstanceRoundTrip:

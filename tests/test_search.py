@@ -15,6 +15,7 @@ from timmdp.search import SearchConfig, _Search, core_solve
 
 from util import (
     bf_joint_future_fires,
+    bound_draws,
     components,
     independent_components,
     joint_action_bounds,
@@ -149,6 +150,19 @@ class TestPruningSafety:
     @settings(deadline=None)
     @given(m=search_draws())
     def test_core_crg_ps_and_dp_agree_on_random_draws(self, m):
+        self.assert_core_crg_ps_and_dp_agree(m)
+
+    @settings(deadline=None)
+    @given(m=bound_draws())
+    def test_core_crg_ps_and_dp_agree_on_edge_draws(self, m):
+        """Horizons 1 to 3 over single-agent, all-negative, nonzero-default
+        and layered instances as well as plain ones."""
+        self.assert_core_crg_ps_and_dp_agree(m)
+
+    @staticmethod
+    def assert_core_crg_ps_and_dp_agree(m):
+        """core, crg-ps and dp agree on the value, both searches' policies
+        priced by evaluate_policy, and pruning never costs evaluations."""
         crgs = build_crgs(m)
         dp = dp_solve(m).value
         core = core_solve(m, crgs)

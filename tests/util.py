@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random instances, the reference reward
+"""Shared test helpers: seeded random instances with the hypothesis
+edge-case draws ``bound_draws`` over them, the reference reward
 evaluator ``reward_value_local`` (with ``reward_value`` and
 ``reference_total_reward`` on joint transitions) that
 ``TiMmdpInstance.reward``, the package's one evaluator, is checked against,
@@ -27,6 +28,8 @@ import weakref
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Mapping, Sequence
+
+from hypothesis import strategies as st
 
 from timmdp.baselines import DpResult
 from timmdp.crg import (
@@ -117,6 +120,34 @@ def with_negative_rewards(m: TiMmdpInstance) -> TiMmdpInstance:
                               for key, v in rf.table.items()})
                for rf in m.rewards]
     return replace(m, rewards=rewards)
+
+
+@st.composite
+def bound_draws(draw):
+    """Horizons 1 to 3 over plain, single-agent, all-negative,
+    nonzero-default and layered draws of up to three agents."""
+    variant = draw(st.sampled_from(("plain", "single", "negative",
+                                    "default", "layered")))
+    horizon = draw(st.integers(1, 3))
+    n_agents = 1 if variant == "single" else draw(st.sampled_from((2, 3)))
+    layered = variant == "layered"
+    m = random_instance(draw(st.integers(0, 2**32 - 1)), n_agents=n_agents,
+                        horizon=horizon,
+                        max_states=3 if n_agents == 3 else 4,
+                        max_actions=2 if n_agents == 3 else 3,
+                        n_interactions=(0 if n_agents == 1
+                                        else draw(st.integers(1, 2))),
+                        feature_scoped=not layered and draw(st.booleans()),
+                        layered=layered,
+                        interaction_horizon=(draw(st.integers(1, horizon))
+                                             if layered else None))
+    if variant == "negative":
+        m = with_negative_rewards(m)
+    if variant == "default":
+        m = with_interaction_default(
+            m, default=draw(st.sampled_from((-2.0, 1.0, 3.5))),
+            shift=draw(st.sampled_from((0.0, 2.0, -1.0))))
+    return m
 
 
 def _trimmed_local(n_states, n_actions, transitions) -> LocalMdp:
